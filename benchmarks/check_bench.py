@@ -9,6 +9,11 @@ and writes the measurements to ``BENCH_metrics.json`` so later PRs can
 track the perf trajectory.  Exits non-zero if a kernel falls below its
 speedup floor or disagrees with the baseline.
 
+The climb is also timed at serving scale (``batch_hillclimb_serving``:
+P=64, 2 passes, the service's default GA), where each scanned node has
+few rows and per-call overhead matters most.  It is checked for bit
+identity against the scalar climber but has no floor.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/check_bench.py \
@@ -45,6 +50,9 @@ from bench_microbench import (
 MESH_NODES = 300
 N_PARTS = 8
 POPULATION = 320
+#: the service's default GA climbs P=64 offspring with 2 passes
+SERVING_POPULATION = 64
+SERVING_PASSES = 2
 
 
 def best_of(fn, repeats: int) -> float:
@@ -150,6 +158,29 @@ def main(argv=None) -> int:
                 f"batch_hillclimb: speedup {speedup:.2f}x below floor "
                 f"{args.min_climb_speedup:.2f}x"
             )
+
+    # the same pair at serving scale: bit identity is required, the
+    # timing is recorded without a floor
+    serving_pop = random_population(
+        graph.n_nodes, N_PARTS, SERVING_POPULATION, seed=2
+    )
+    new_fn = lambda: climb_batch(  # noqa: E731
+        graph, fitness, serving_pop, SERVING_PASSES
+    )
+    base_fn = lambda: scalar_improve_batch(  # noqa: E731
+        climber, serving_pop, SERVING_PASSES
+    )
+    if not np.array_equal(new_fn(), base_fn()):
+        failures.append(
+            "batch_hillclimb_serving: climbed assignments are not "
+            "bit-identical to the scalar climber"
+        )
+    else:
+        kernels["batch_hillclimb_serving"] = {
+            "new_ms": round(best_of(new_fn, args.repeats) * 1e3, 4),
+            "population": SERVING_POPULATION,
+            "passes": SERVING_PASSES,
+        }
 
     # trajectory-only kernels (no seed baseline / no floor)
     for name, fn in [

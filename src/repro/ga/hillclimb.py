@@ -23,8 +23,8 @@ Batched delta formulation
 :func:`repro.ga.batch_climb.climb_batch`, which runs the same greedy
 scan in lockstep over all ``B`` rows of a population.  Per pass it
 keeps ``(B, k)`` tables of the loads ``L`` and boundary costs ``C`` and
-a shared ``(B, n)`` frontier mask; per scanned node ``i`` it forms the
-``(R, k)`` table ``W[r, q]`` — row ``r``'s weight from ``i`` into part
+a shared node-major frontier mask; per scanned node ``i`` it forms the
+``(B, k)`` table ``W[r, q]`` — row ``r``'s weight from ``i`` into part
 ``q`` — with one fused-index bincount over ``row * k + label``, and the
 move deltas become whole-array expressions over that table::
 
@@ -32,10 +32,16 @@ move deltas become whole-array expressions over that table::
     ΔC(r, s) = 2 W[r,s] - T_i,   ΔC(r, d) = T_i - 2 W[r,d]
 
 with Fitness2's worst-part term obtained from the per-row top-2 of
-``C`` excluding ``{s, d}``.  The destination choice and the move itself
-are applied through per-row masks, so one pass costs O(scanned nodes)
-vectorized steps instead of O(B × frontier) Python iterations, while
-remaining bit-identical to this module's scalar ``_climb`` in
+``C`` excluding ``{s, d}``.  The destination is one masked argmax per
+row: parts with ``W[r, q] = 0`` and ``s`` itself are masked, the row's
+first maximum gain ``g*`` is taken, and the node moves if
+``g* > 1e-12``.  That equals this module's ascending scan (take ``d``
+only if its gain beats the running best, from 0, by more than
+``1e-12``) except when a lesser candidate ``g`` fails ``g* > g +
+1e-12``; only rows with such a near tie replay the scan, so the choice
+is exact.  One pass thus costs O(scanned nodes) vectorized steps of a
+fixed handful of numpy calls, instead of O(B × frontier) Python
+iterations, while remaining bit-identical to the scalar ``_climb`` in
 deterministic scan order.
 """
 

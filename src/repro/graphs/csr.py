@@ -69,6 +69,7 @@ class CSRGraph:
         "adj_weights",
         "adj_edge_ids",
         "_strengths",
+        "_node_tables",
         "_unit_edge_weights",
         "_unit_node_weights",
         "_integer_edge_weights",
@@ -158,6 +159,7 @@ class CSRGraph:
         # Lazily-computed derived quantities; safe to cache because every
         # array below is frozen for the graph's lifetime.
         self._strengths: Optional[np.ndarray] = None
+        self._node_tables: Optional[tuple] = None
         self._unit_edge_weights: Optional[bool] = None
         self._unit_node_weights: Optional[bool] = None
         self._integer_edge_weights: Optional[bool] = None
@@ -267,6 +269,28 @@ class CSRGraph:
             s.setflags(write=False)
             self._strengths = s
         return s
+
+    def node_tables(self) -> tuple[tuple, tuple, tuple]:
+        """Per-node Python scalars for node-at-a-time kernels (cached).
+
+        Returns ``(bounds, incident, weights)``: ``bounds`` is ``indptr``
+        (node ``i``'s CSR slice is ``bounds[i]:bounds[i + 1]``);
+        ``incident[i]`` is ``float(neighbor_weights(i).sum())``, summed
+        per node exactly as a caller slicing one node at a time would
+        (:meth:`node_strengths` accumulates in another order); and
+        ``weights[i]`` is node ``i``'s weight.  Reading these tuples
+        skips the numpy scalar work a hot loop would repeat per visit.
+        """
+        t = self._node_tables
+        if t is None:
+            bounds = tuple(self.indptr.tolist())
+            adj_w = self.adj_weights
+            incident = tuple(
+                float(adj_w[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])
+            )
+            t = (bounds, incident, tuple(self.node_weights.tolist()))
+            self._node_tables = t
+        return t
 
     def has_unit_edge_weights(self) -> bool:
         """True iff every edge weight equals 1.0 (cached)."""

@@ -746,6 +746,13 @@ class ShardListener:
         return SocketTransport(conn)
 
     def close(self) -> None:
+        # closing the fd alone does not wake a thread blocked in
+        # accept() on Linux; shutting the socket down does (accept then
+        # raises OSError), so a server's accept loop ends at once
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - double close

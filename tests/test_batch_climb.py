@@ -1,12 +1,15 @@
 """Equivalence and reproducibility tests for the vectorized batch climber.
 
-Two contracts from this PR:
+The contracts:
 
 * :func:`repro.ga.batch_climb.climb_batch` in deterministic scan order
   is **bit-identical** to climbing each row with the scalar
   ``HillClimber._climb`` reference — across weighted and unweighted
   graphs, part counts, both fitness functions, pass budgets, and any
   row chunking;
+* in the rng scan mode every served request runs, it is bit-identical
+  to the lockstep reference kernel kept in ``climb_reference.py`` (the
+  destination scan it replaced), near ties included;
 * same-seed :class:`repro.ga.ParallelDPGA` runs produce identical
   results for any ``n_workers`` (islands are pinned to worker
   processes), and their histories carry real cut metrics instead of
@@ -27,7 +30,9 @@ from repro.ga import (
     climb_batch,
 )
 from repro.ga.population import random_population
-from repro.graphs import mesh_graph
+from repro.graphs import CSRGraph, mesh_graph
+
+from climb_reference import climb_batch_reference
 
 
 def scalar_reference(hc: HillClimber, pop: np.ndarray, passes: int) -> np.ndarray:
@@ -48,6 +53,10 @@ def make_graph(weights: str):
             node_weights=rng.integers(1, 4, g.n_nodes).astype(np.float64),
             edge_weights=rng.integers(1, 5, g.n_edges).astype(np.float64),
         )
+    if weights == "edges":
+        # unit node weights with weighted edges: the weighted bincount
+        # next to integer-valued loads
+        return g.with_weights(edge_weights=rng.uniform(0.5, 2.0, g.n_edges))
     # fractional edge weights force the metrics' direct (non-identity)
     # cut kernel, exercising the climber on that accumulation path too
     return g.with_weights(
@@ -57,7 +66,7 @@ def make_graph(weights: str):
 
 
 class TestBitEquivalence:
-    @pytest.mark.parametrize("weights", ["unit", "integer", "fractional"])
+    @pytest.mark.parametrize("weights", ["unit", "integer", "fractional", "edges"])
     @pytest.mark.parametrize("k", [2, 4, 16])
     @pytest.mark.parametrize("fitness_cls", [Fitness1, Fitness2])
     def test_matches_scalar_bit_for_bit(self, weights, k, fitness_cls):
@@ -69,6 +78,28 @@ class TestBitEquivalence:
             ref = scalar_reference(hc, pop, passes)
             out = climb_batch(g, fit, pop, max_passes=passes)
             assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("weights", ["unit", "integer", "fractional", "edges"])
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    @pytest.mark.parametrize("fitness_cls", [Fitness1, Fitness2])
+    def test_rng_mode_matches_reference_oracle(self, weights, k, fitness_cls):
+        """The serving scan mode: same shared per-pass permutations, same
+        moves as the reference kernel, for any chunking."""
+        g = make_graph(weights)
+        fit = fitness_cls(g, k)
+        pop = random_population(g.n_nodes, k, 12, seed=11)
+        ref = climb_batch_reference(
+            g, fit, pop, max_passes=3, rng=np.random.default_rng(5)
+        )
+        for chunk_rows in (1, 3, 7):
+            out = climb_batch(
+                g, fit, pop, max_passes=3, rng=np.random.default_rng(5),
+                chunk_rows=chunk_rows,
+            )
+            assert np.array_equal(out, ref)
+        # and the deterministic mode agrees with the oracle too
+        det = climb_batch_reference(g, fit, pop, max_passes=3)
+        assert np.array_equal(climb_batch(g, fit, pop, max_passes=3), det)
 
     def test_improve_batch_dispatches_to_kernel(self):
         g = make_graph("unit")
@@ -101,6 +132,43 @@ class TestBitEquivalence:
         assert np.array_equal(out, ref)
         # fixed point: climbing again changes nothing
         assert np.array_equal(climb_batch(g, fit, out, max_passes=5), out)
+
+
+class TestNearTie:
+    """The destination is each row's first maximum gain unless a lesser
+    candidate lies within the scan's 1e-12 tolerance of it; then the
+    sequential scan is replayed for that row."""
+
+    @staticmethod
+    def near_tie_graph() -> CSRGraph:
+        # node 0 (part 0) gains about 3.8 by moving to part 1 and 8e-13
+        # more by moving to part 2: within tolerance, so the ascending
+        # scan keeps part 1 where a plain argmax would take part 2
+        return CSRGraph(
+            6,
+            [0, 0, 0, 1, 2],
+            [1, 2, 3, 4, 5],
+            edge_weights=[3.0, 3.0 + 4e-13, 0.1, 1.0, 1.0],
+        )
+
+    # seed 8's first permutation scans node 0 before its neighbors
+    @pytest.mark.parametrize("rng_seed", [None, 8])
+    def test_fallback_replays_the_scalar_scan(self, rng_seed):
+        g = self.near_tie_graph()
+        fit = Fitness1(g, 3)
+        pop = np.array([[0, 1, 2, 0, 1, 2]] * 3, dtype=np.int64)
+        scalar = HillClimber(g, fit)._climb(pop[0], 1, None)
+        assert scalar[0] == 1
+
+        def rng():
+            return None if rng_seed is None else np.random.default_rng(rng_seed)
+
+        out = climb_batch(g, fit, pop, max_passes=1, rng=rng())
+        ref = climb_batch_reference(g, fit, pop, max_passes=1, rng=rng())
+        assert np.array_equal(out, ref)
+        if rng_seed is None:
+            assert np.array_equal(out, np.stack([scalar] * 3))
+        assert np.all(out[:, 0] == 1)
 
 
 class TestBatchBehavior:

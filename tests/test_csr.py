@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import CSRGraph, check_graph
+from repro.graphs import CSRGraph, check_graph, grid2d
 
 
 class TestConstruction:
@@ -132,6 +132,21 @@ class TestAdjacency:
     def test_totals(self, weighted_triangle):
         assert weighted_triangle.total_node_weight() == 6.0
         assert weighted_triangle.total_edge_weight() == 7.0
+
+    def test_node_tables_match_per_node_queries(self):
+        rng = np.random.default_rng(4)
+        g = grid2d(5, 5).with_weights(
+            node_weights=rng.uniform(0.5, 2.0, 25),
+            edge_weights=rng.uniform(0.1, 3.0, 40),
+        )
+        bounds, incident, weights = g.node_tables()
+        assert list(bounds) == g.indptr.tolist()
+        for i in range(g.n_nodes):
+            # the same per-node sum, bit for bit (node_strengths sums in
+            # another order)
+            assert incident[i] == float(g.neighbor_weights(i).sum())
+            assert weights[i] == g.node_weights[i]
+        assert g.node_tables() is g.node_tables()  # cached
 
 
 class TestImmutability:

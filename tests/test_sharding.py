@@ -323,6 +323,16 @@ class TestSocketTransport:
         with pytest.raises(ServiceError, match="not both"):
             ServiceClient(shards=2, attach=["127.0.0.1:4001"])
 
+    def test_started_shard_server_closes_promptly(self):
+        """Regression: close() used to wait out the 5 s join on the
+        thread blocked in accept(), which closing the fd never woke."""
+        server = ShardServer(n_workers=1).start()
+        accept_thread = server._accept_thread
+        t0 = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not accept_thread.is_alive()
+
 
 # ----------------------------------------------------------------------
 # binary data plane (PR 9)
