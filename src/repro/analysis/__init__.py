@@ -20,6 +20,8 @@ rule                    checks
 ``WIRE-ERROR``          every shard-raised exception reconstructs
                         across ``error_to_wire``
 ``BROAD-EXCEPT``        no silent ``except Exception:`` swallowers
+``EXCEPT-SHADOWED``     no ``except`` clause made dead by an earlier
+                        clause catching a superclass
 ``SUPPRESS-NO-REASON``  every suppression carries a justification
 ======================  ================================================
 

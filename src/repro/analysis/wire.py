@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .framework import AnalysisConfig, FileContext, Finding, rule
 
-__all__ = ["WIRE_PICKLE", "WIRE_ERROR", "errors_registry"]
+__all__ = ["WIRE_PICKLE", "WIRE_ERROR", "errors_hierarchy", "errors_registry"]
 
 WIRE_PICKLE = "WIRE-PICKLE"
 WIRE_ERROR = "WIRE-ERROR"
@@ -30,13 +30,13 @@ WIRE_ERROR = "WIRE-ERROR"
 _registry_cache: dict = {}
 
 
-def errors_registry() -> frozenset:
-    """Exception class names :func:`error_from_wire` can reconstruct
-    (the classes defined in :mod:`repro.errors`), parsed from source so
-    the analyzer stays importable without the package on ``sys.path``."""
-    if "names" in _registry_cache:
-        return _registry_cache["names"]
-    names = set()
+def errors_hierarchy() -> dict:
+    """``{class name: base class names}`` for every class defined in
+    :mod:`repro.errors`, parsed from source so the analyzer stays
+    importable without the package on ``sys.path``."""
+    if "bases" in _registry_cache:
+        return _registry_cache["bases"]
+    bases: dict = {}
     try:
         from pathlib import Path
 
@@ -44,11 +44,21 @@ def errors_registry() -> frozenset:
         tree = ast.parse(errors_py.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                names.add(node.name)
+                bases[node.name] = tuple(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                )
     except (OSError, SyntaxError):  # pragma: no cover - source moved
         pass
-    _registry_cache["names"] = frozenset(names)
-    return _registry_cache["names"]
+    _registry_cache["bases"] = bases
+    return bases
+
+
+def errors_registry() -> frozenset:
+    """Exception class names :func:`error_from_wire` can reconstruct:
+    the classes defined in :mod:`repro.errors`."""
+    return frozenset(errors_hierarchy())
 
 
 def _is_builtin_exception(name: str) -> bool:

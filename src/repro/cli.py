@@ -158,12 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit structured JSON log records for shard lifecycle "
              "events (restarts, fail-fast, snapshot writes) on stderr",
     )
-    p_serve.add_argument(
-        "--front", choices=("eventloop", "thread"), default="eventloop",
-        help="connection front: the selectors event loop with keep-alive "
-             "and pipelining (default) or the thread-per-connection "
-             "fallback (responses are byte-identical either way)",
-    )
 
     p_ring = sub.add_parser(
         "ring",
@@ -462,7 +456,6 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
         port=args.port,
         shards=args.shards,
         attach_shards=args.attach_shard or None,
-        front=args.front,
         **kwargs,
     )
     return 0

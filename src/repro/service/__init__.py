@@ -63,7 +63,7 @@ from .transport import (
 )
 from .sharding import ShardServer, ShardedPartitionService, shard_for_digest
 from .client import HTTPServiceClient, ServiceClient
-from .http import PartitionHTTPServer, dispatch_request, make_server, serve
+from .http import dispatch_request, make_server, serve
 from .eventloop import EventLoopHTTPServer
 
 __all__ = [
@@ -110,7 +110,6 @@ __all__ = [
     "PartitionService",
     "HTTPServiceClient",
     "ServiceClient",
-    "PartitionHTTPServer",
     "EventLoopHTTPServer",
     "dispatch_request",
     "make_server",

@@ -7,7 +7,9 @@ every shard worker process, and that benchmarks record alongside their
 numbers.  Everything that changes *how* the service executes — worker
 counts, cache budgets, the process-pool cost model, racing portfolios,
 overlapped session updates — lives here; everything that changes *what*
-a request answers lives in the request itself.
+a request answers lives in the request itself.  The shard wire encoding
+is not a knob: each transport lane has exactly one codec (see
+:mod:`repro.service.transport`).
 """
 
 from __future__ import annotations
@@ -99,13 +101,6 @@ class ServiceConfig:
         Size of the in-memory span ring buffer.
     trace_jsonl:
         Optional path appended with one JSON span record per line.
-    binary_frames:
-        Negotiate the zero-copy shard data plane (binary socket frames
-        / shared-memory pipe segments — see :mod:`repro.service.
-        transport`).  Purely a transport encoding: answers are
-        bit-identical with it on or off, and peers that don't speak it
-        fall back to JSON frames regardless of this flag.  ``False``
-        pins every shard channel to the JSON/pickle lanes.
     probe_interval_s:
         ``> 0`` makes a sharded front probe every shard at this cadence
         (see :mod:`repro.service.sharding`): a shard that stops
@@ -132,7 +127,6 @@ class ServiceConfig:
     trace_sample: float = 1.0
     trace_ring: int = 2048
     trace_jsonl: Optional[str] = None
-    binary_frames: bool = True
     probe_interval_s: float = 0.0
 
     def __post_init__(self) -> None:

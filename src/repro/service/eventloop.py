@@ -1,13 +1,12 @@
-"""Single-threaded event-loop HTTP front (``front="eventloop"``).
+"""Single-threaded event-loop HTTP front: the service's only front.
 
 One :mod:`selectors` loop multiplexes every client connection of the
 partition service: the loop thread owns all connection state (parse
 buffers, pipelining windows, write queues) and never blocks on request
 execution — complete requests are handed to a small worker pool that
-runs the shared route table (:func:`repro.service.http.
-dispatch_request`, the same one the threaded front uses, so responses
-are byte-identical between fronts) and posts finished responses back
-through a completion queue plus a wake socket.
+runs the route table (:func:`repro.service.http.dispatch_request`) and
+posts finished responses back through a completion queue plus a wake
+socket.  :func:`repro.service.http.make_server` builds it.
 
 Protocol surface:
 
@@ -128,10 +127,9 @@ class _Connection:
 class EventLoopHTTPServer:
     """Selectors event-loop front over one service.
 
-    Exposes the surface the threaded ``PartitionHTTPServer`` does —
-    ``server_address``, ``service``, :meth:`serve_forever`,
-    :meth:`shutdown`, :meth:`server_close` — so every existing caller
-    (CLI, benchmarks, tests) can switch fronts with one argument.
+    Exposes the :mod:`socketserver`-style surface — ``server_address``,
+    ``service``, :meth:`serve_forever`, :meth:`shutdown`,
+    :meth:`server_close` — that the CLI, benchmarks, and tests drive.
     """
 
     def __init__(

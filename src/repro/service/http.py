@@ -1,17 +1,11 @@
 """Stdlib HTTP frontend for the partition service.
 
 A thin JSON layer over :class:`~repro.service.core.PartitionService`.
-Two interchangeable fronts speak the identical endpoint schema:
-
-* ``front="eventloop"`` (default) — :class:`~repro.service.eventloop.
-  EventLoopHTTPServer`, a single-threaded :mod:`selectors` loop
-  multiplexing thousands of keep-alive connections with pipelined
-  in-flight requests (see :mod:`repro.service.eventloop`);
-* ``front="thread"`` — ``http.server.ThreadingHTTPServer``, one thread
-  per connection (the original front, kept as the simple fallback).
-
-Both route through :func:`dispatch_request`, so responses are
-byte-identical between fronts.  The endpoint schema:
+:func:`dispatch_request` is the route table; the connection front that
+feeds it is :class:`~repro.service.eventloop.EventLoopHTTPServer`, a
+single-threaded :mod:`selectors` loop multiplexing thousands of
+keep-alive connections with pipelined in-flight requests (see
+:mod:`repro.service.eventloop`).  The endpoint schema:
 
 ====================  ======  =========================================
 path                  method  body / response
@@ -54,7 +48,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 
 from ..errors import ReproError, ServiceError, ShardDiedError
@@ -67,7 +60,6 @@ from .models import (
 )
 
 __all__ = [
-    "PartitionHTTPServer",
     "dispatch_request",
     "make_server",
     "serve",
@@ -77,10 +69,6 @@ __all__ = [
 #: ample slack for large meshes while bounding a hostile payload
 MAX_BODY_BYTES = 64 << 20
 
-
-# ----------------------------------------------------------------------
-# shared route dispatch (both fronts)
-# ----------------------------------------------------------------------
 
 def _json_response(status: int, payload: dict) -> tuple[int, str, bytes]:
     return status, "application/json", json.dumps(payload).encode()
@@ -101,13 +89,11 @@ def dispatch_request(
 ) -> tuple[int, str, bytes]:
     """Route one HTTP request → ``(status, content type, body bytes)``.
 
-    The single routing table behind both fronts: ``target`` is the raw
-    request target (path plus optional query), ``body`` the already-read
-    request body, ``accept`` the Accept header (the ``/v1/metrics``
-    content negotiation).  Every error — malformed payload, library
-    error, handler bug — is mapped to a JSON error response here, so
-    callers never see an exception and the two fronts answer
-    byte-identically.
+    ``target`` is the raw request target (path plus optional query),
+    ``body`` the already-read request body, ``accept`` the Accept
+    header (the ``/v1/metrics`` content negotiation).  Every error —
+    malformed payload, library error, handler bug — is mapped to a JSON
+    error response here, so callers never see an exception.
     """
     from urllib.parse import parse_qs, urlsplit
 
@@ -211,79 +197,6 @@ def dispatch_request(
         return _json_response(500, {"error": f"internal error: {exc}"})
 
 
-class PartitionHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a service.
-
-    ``service`` is anything exposing the shared service verbs — a
-    :class:`PartitionService` or a digest-sharded
-    :class:`~repro.service.sharding.ShardedPartitionService`.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, service) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: PartitionHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request logging is the service counters' job, not stderr's
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self._send(status, "application/json", body)
-
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        raw_length = self.headers.get("Content-Length", 0) or 0
-        try:
-            length = int(raw_length)
-        except (TypeError, ValueError):
-            raise _HTTPError(
-                400, f"bad Content-Length header: {raw_length!r}"
-            ) from None
-        if length < 0:
-            raise _HTTPError(400, f"bad Content-Length header: {length}")
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(413, f"request body over {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
-
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            self._send(*dispatch_request(
-                self.server.service, "GET", self.path,
-                accept=self.headers.get("Accept", "") or "",
-            ))
-        except BrokenPipeError:  # client went away mid-answer
-            pass
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            try:
-                body = self._read_body()
-            except _HTTPError as exc:
-                self._send_json(exc.status, {"error": exc.message})
-                return
-            self._send(*dispatch_request(
-                self.server.service, "POST", self.path, body,
-            ))
-        except BrokenPipeError:
-            pass
-
-
 class _HTTPError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -304,10 +217,10 @@ def make_server(
     service: Optional[PartitionService] = None,
     shards: int = 0,
     attach_shards: Optional[Sequence[str]] = None,
-    front: str = "eventloop",
     **service_kwargs,
 ):
-    """Build (but do not start) a server; ``port=0`` picks a free port.
+    """Build (but do not start) the event-loop HTTP server; ``port=0``
+    picks a free port.
 
     ``shards=N`` (N ≥ 1) serves through a digest-sharded
     :class:`~repro.service.sharding.ShardedPartitionService` of N
@@ -315,24 +228,21 @@ def make_server(
     ``attach_shards=["host:port", ...]`` builds the same front over
     *remote* socket shards (running ``serve --shard-listen``) instead
     of spawning local workers.  Responses are bit-identical either way.
-    These only apply when the server builds its own service — combining
-    them with an explicit ``service`` is rejected rather than silently
-    ignored.
-
-    ``front`` picks the connection front: ``"eventloop"`` (default, the
-    selectors loop with keep-alive and pipelining) or ``"thread"`` (the
-    original thread-per-connection server).  Both expose the same
-    surface (``server_address``, ``service``, ``serve_forever`` /
-    ``shutdown`` / ``server_close``) and byte-identical responses.
+    These and the ``service_kwargs`` (:class:`~repro.service.config.
+    ServiceConfig` overrides) only apply when the server builds its own
+    service — combining them with an explicit ``service`` is rejected
+    rather than silently ignored.
     """
-    if front not in ("eventloop", "thread"):
-        raise ServiceError(
-            f"front must be 'eventloop' or 'thread', got {front!r}"
-        )
     if service is not None and (shards or attach_shards):
         raise ServiceError(
             "pass either an explicit service or shards/attach_shards, not "
             "both (wrap the service yourself for a custom sharded front)"
+        )
+    if service is not None and service_kwargs:
+        raise ServiceError(
+            f"service options {sorted(service_kwargs)} only apply when "
+            "make_server builds the service; configure the explicit "
+            "service instead"
         )
     if shards and attach_shards:
         raise ServiceError(
@@ -352,8 +262,6 @@ def make_server(
             service = ShardedPartitionService(n_shards=shards, **service_kwargs)
         else:
             service = PartitionService(**service_kwargs)
-    if front == "thread":
-        return PartitionHTTPServer((host, port), service)
     from .eventloop import EventLoopHTTPServer
 
     return EventLoopHTTPServer((host, port), service)
@@ -366,17 +274,16 @@ def serve(
     background: bool = False,
     shards: int = 0,
     attach_shards: Optional[Sequence[str]] = None,
-    front: str = "eventloop",
     **service_kwargs,
 ):
     """Start serving; ``background=True`` serves from a daemon thread
     and returns immediately (used by tests and the smoke benchmark).
     ``shards=N`` enables digest-sharded multi-process serving;
-    ``attach_shards`` fronts remote socket shards instead; ``front``
-    picks the connection front (see :func:`make_server`)."""
+    ``attach_shards`` fronts remote socket shards instead (see
+    :func:`make_server`)."""
     server = make_server(
         host, port, service, shards=shards, attach_shards=attach_shards,
-        front=front, **service_kwargs,
+        **service_kwargs,
     )
     if background:
         thread = threading.Thread(

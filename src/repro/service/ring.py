@@ -32,11 +32,9 @@ bit-identity suite covers any ring history).  ``shard_for_digest``
 remains exported for the pre-ring frozen tests and for external
 tooling that recorded the old layout.
 
-The ring protocol is versioned on the shard ``capabilities`` verb
-(:data:`RING_PROTOCOL_VERSION`): a front sends its ring epoch with the
-handshake and a ring-aware shard echoes it back with its protocol
-version; old peers ignore the arguments entirely, so mixed fleets keep
-working on the pre-ring contract.
+The ring protocol is versioned (:data:`RING_PROTOCOL_VERSION`): every
+shard reports its version in the answer to the ``ping`` verb, and a
+front refuses, at connect, a shard whose version differs from its own.
 """
 
 from __future__ import annotations
@@ -55,9 +53,10 @@ __all__ = [
     "HashRing",
 ]
 
-#: version of the ring wire contract carried on the ``capabilities``
-#: verb (see :mod:`repro.service.transport`); bump on incompatible
-#: changes to the point function or the handoff verbs
+#: version of the ring wire contract, reported in every ``ping`` answer
+#: and checked when a front connects a shard (see
+#: :mod:`repro.service.sharding`); bump on incompatible changes to the
+#: point function or the handoff verbs
 RING_PROTOCOL_VERSION = 1
 
 #: virtual nodes per member slot — enough that per-slot ownership

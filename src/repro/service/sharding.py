@@ -38,21 +38,22 @@ topology instead of ``% N``, membership can change at runtime:
   to the survivors, which compute identical bits) and re-admitted
   when a probe sees it answer again; an attached remote shard is
   reconnected by the probe instead of lazily on the next call.
-* The ring protocol is versioned on the ``capabilities`` handshake
-  (:data:`~repro.service.ring.RING_PROTOCOL_VERSION` + the front's
-  ring epoch ride the hello; ring-aware shards echo them back), so old
-  peers keep working on the pre-ring contract.
+* The ring protocol is versioned
+  (:data:`~repro.service.ring.RING_PROTOCOL_VERSION`): every new shard
+  handle makes one ``ping`` round trip before it serves, and a shard
+  whose answer reports another version is refused with a
+  :class:`~repro.errors.ServiceError` naming both.
 
 Transport (PR 5) is one duplex :class:`~repro.service.transport.
 ShardTransport` per shard with request multiplexing: the front tags
 each request with a sequence id, a per-shard reader thread dispatches
 replies to waiting callers, and the shard worker executes requests on
 a small thread pool over its service.  Two transports share that
-protocol — the **pipe** lane to local child processes (PR 4's fast
-path, pickled messages) and the **socket** lane (length-prefixed JSON
-frames) to shard servers anywhere (``serve --shard-listen`` /
-``--attach-shard``), so a fleet can span machines without changing a
-caller.
+protocol — the **pipe** lane to local child processes (pickled
+messages, shared memory for multi-MiB arrays) and the **socket** lane
+(length-prefixed binary frames) to shard servers anywhere (``serve
+--shard-listen`` / ``--attach-shard``), so a fleet can span machines
+without changing a caller.
 
 Fault tolerance (PR 5): every shard lives in a supervised slot with
 health tracking.  A shard death (reader-thread EOF, send failure) fails
@@ -260,24 +261,6 @@ def _serve_shard(transport: ShardTransport, service) -> None:
                     ring=args[1] if len(args) > 1 else None,
                     slot=args[2] if len(args) > 2 else None,
                 )
-            elif verb == "capabilities":
-                # feature probe doubling as the binary-lane handshake:
-                # only new fronts send it, and a front that does is ready
-                # to receive binary replies the moment it gets this
-                # answer (old fronts never see one — replies to them stay
-                # JSON because this verb is never invoked).  Since PR 10
-                # the front's hello rides as an optional args dict (old
-                # fronts send none) and the answer carries the shard's
-                # ring protocol version plus an echo of the front's ring
-                # epoch — the negotiation seam that lets ring-aware
-                # fronts drive pre-ring shards and vice versa.
-                hello = args[0] if args and isinstance(args[0], dict) else {}
-                out = {
-                    "binary": bool(transport.enable_binary()),
-                    "ring_protocol": RING_PROTOCOL_VERSION,
-                }
-                if "ring_epoch" in hello:
-                    out["ring_epoch"] = hello["ring_epoch"]
             else:
                 raise ServiceError(f"unknown shard verb {verb!r}")
             reply = (req_id, True, out)
@@ -333,7 +316,7 @@ def _serve_shard(transport: ShardTransport, service) -> None:
             lane = (
                 control
                 if verb in ("stats", "metrics", "close_session",
-                            "list_sessions", "capabilities", "ping")
+                            "list_sessions", "ping")
                 else pool
             )
             lane.submit(handle, req_id, verb, args, tc)
@@ -497,8 +480,6 @@ class _ShardHandle:
         transport: ShardTransport,
         process=None,
         on_death=None,
-        negotiate: bool = True,
-        ring_epoch: int = 0,
     ) -> None:
         self.index = index
         self.process = process
@@ -509,45 +490,31 @@ class _ShardHandle:
         self._pending: dict[int, _Reply] = {}
         self._counter = itertools.count()
         self._alive = True
-        self.capabilities: dict = {}
-        self.ring_protocol = 0  # 0 = pre-ring peer (or no handshake)
         self._reader = threading.Thread(
             target=self._read_loop, name=f"shard-{index}-reader", daemon=True
         )
         self._reader.start()
-        self.binary = self._negotiate(ring_epoch) if negotiate else False
+        self._hello()
 
-    def _negotiate(self, ring_epoch: int) -> bool:
-        """Probe the shard for the zero-copy lane (binary socket frames
-        / shared-memory pipe segments) and enable it on both sides,
-        carrying the ring hello (protocol version + the front's current
-        ring epoch) on the same round trip.
-
-        The ``capabilities`` verb is a plain request, so a pre-binary
-        shard server answers it with a graceful unknown-verb error and
-        everything stays on JSON frames — the probe can never strand a
-        connection.  A pre-ring shard ignores the hello args and omits
-        ``ring_protocol`` from its answer; the front then knows not to
-        send it ring verbs (``ring_protocol`` stays 0).
-        """
+    def _hello(self) -> None:
+        """One ``ping`` round trip before the handle serves: a slot
+        counts as up only once its shard has answered (the supervisor's
+        crash-loop check reads :attr:`alive` right after this), and a
+        shard speaking another ring protocol is shut down and refused.
+        A shard that dies meanwhile is left to the death path."""
         try:
-            caps = self.call("capabilities", {
-                "ring_protocol": RING_PROTOCOL_VERSION,
-                "ring_epoch": int(ring_epoch),
-            })
+            pong = self.call("ping")
         except ShardDiedError:
-            return False  # death path already running; slot restarts
+            return  # the reader already handed the slot to the supervisor
         except ServiceError:
-            return False  # old peer: unknown verb, JSON frames forever
-        if isinstance(caps, dict):
-            self.capabilities = caps
-            try:
-                self.ring_protocol = int(caps.get("ring_protocol") or 0)
-            except (TypeError, ValueError):
-                self.ring_protocol = 0
-            if caps.get("binary"):
-                return self.transport.enable_binary()
-        return False
+            pong = None  # answered ping with an error: no ring protocol
+        version = pong.get("ring_protocol") if isinstance(pong, dict) else None
+        if version != RING_PROTOCOL_VERSION:
+            self.shutdown()
+            raise ServiceError(
+                f"shard {self.index} speaks ring protocol {version}, this "
+                f"front speaks ring protocol {RING_PROTOCOL_VERSION}"
+            )
 
     @property
     def alive(self) -> bool:
@@ -912,8 +879,6 @@ class ShardedPartitionService:
             PipeTransport(parent_conn),
             process=process,
             on_death=self._on_shard_death,
-            negotiate=self.config.binary_frames,
-            ring_epoch=self.ring.epoch,
         )
 
     def _connect_remote(self, slot: _ShardSlot) -> _ShardHandle:
@@ -924,9 +889,7 @@ class ShardedPartitionService:
                 f"cannot attach shard {slot.index} at {slot.address}: {exc}"
             ) from exc
         return _ShardHandle(
-            slot.index, transport, on_death=self._on_shard_death,
-            negotiate=self.config.binary_frames,
-            ring_epoch=self.ring.epoch,
+            slot.index, transport, on_death=self._on_shard_death
         )
 
     def _on_shard_death(self, handle: _ShardHandle) -> None:
@@ -1090,10 +1053,11 @@ class ShardedPartitionService:
                     f"shard {index} is down "
                     f"(after {slot.restarts} restart(s))"
                 )
-        # remote reconnect, outside the fleet lock
+        # remote reconnect, outside the fleet lock (a refused ring
+        # protocol is a ServiceError and leaves the slot down, too)
         try:
             handle = self._connect_remote(reconnect)
-        except ShardDiedError:
+        except ServiceError:
             with self._fleet_lock:
                 reconnect.state = "down"
                 self._fleet_cond.notify_all()
@@ -1408,10 +1372,8 @@ class ShardedPartitionService:
         """One health-probe pass over the fleet (the ``probe_interval_s``
         loop calls this; tests and operators may call it directly).
 
-        Each live shard answers a ``ping`` on its control lane — a
-        pre-ring peer answers it with an unknown-verb error, which still
-        proves liveness.  A shard that cannot answer is ejected from the
-        ring (its keyspace reroutes to the survivors under a new epoch,
+        Each live shard answers a ``ping`` on its control lane.  A shard
+        that cannot answer is ejected from the ring (its keyspace reroutes to the survivors under a new epoch,
         and its sessions are adopted from their on-commit snapshots); a
         probe that finds an ejected shard answering again re-admits it
         and re-warms its regained keyspace.  A down *attached* shard is
@@ -1434,8 +1396,6 @@ class ShardedPartitionService:
                 try:
                     handle.call("ping")
                     verdict = True
-                except ServiceError:
-                    verdict = True  # pre-ring peer: it answered, it lives
                 except ShardDiedError:
                     verdict = False
             elif state == "down":
@@ -1818,8 +1778,8 @@ class ShardedPartitionService:
     def _flush_members(self) -> None:
         """Flush every live member's snapshots + result journal (the
         ``prepare_handoff`` verb with no session list) so adopters and
-        warmers read complete state.  Best-effort: a dead or pre-ring
-        member is skipped — its on-commit snapshots still serve."""
+        warmers read complete state.  Best-effort: a dead member is
+        skipped — its on-commit snapshots still serve."""
         for index in list(self.ring.members):
             try:
                 self._shard_handle(index, wait=False).call(
@@ -1838,8 +1798,8 @@ class ShardedPartitionService:
         """Re-warm one member from the *other* shards' result journals,
         filtered to the keys the current ring assigns it — the step that
         keeps the warm-hit rate intact across a remap.  Best-effort: a
-        pre-ring shard rejects the verb (unknown) and simply stays cold
-        for its newly owned keys."""
+        shard that cannot answer simply stays cold for its newly owned
+        keys."""
         if self._snapshot_base is None:
             return 0
         with self._fleet_lock:
@@ -1958,8 +1918,8 @@ class ShardedPartitionService:
                 except (ShardDiedError, ServiceError):
                     pass
             if not released:
-                # the old owner could not drop its copy (dead, or a
-                # pre-ring peer): delete its snapshot front-side so a
+                # the old owner could not drop its copy (dead, or the
+                # call failed): delete its snapshot front-side so a
                 # restart there cannot resurrect a second live copy
                 self._forget_snapshot(src_dir, session_id)
             self.registry.inc("repro_sessions_handed_off_total")

@@ -7,60 +7,44 @@ carrying a trace context when the front propagates one (see
 one duplex channel per shard.  This module abstracts that channel as
 :class:`ShardTransport` with two implementations:
 
-* :class:`PipeTransport` — the local fast lane: a
-  :func:`multiprocessing.Pipe` connection to a child shard process,
-  messages travel pickled (PR 4's original transport, unchanged bytes).
+* :class:`PipeTransport` — the local lane: a :func:`multiprocessing.Pipe`
+  connection to a child shard process.  Messages travel pickled; one
+  whose array payloads reach :data:`SHM_MIN_BYTES` crosses instead as
+  a binary frame header plus a :mod:`multiprocessing.shared_memory`
+  segment holding the array buffers.
 * :class:`SocketTransport` — the remote lane: a TCP socket carrying
-  **length-prefixed JSON frames**.  Each frame is one message; every
-  value inside it travels in the same lossless JSON payload forms the
-  HTTP endpoint speaks (:mod:`repro.service.models` ``to_payload`` /
-  ``from_payload``, :func:`~repro.service.models.graph_to_wire`), so a
-  socket-attached shard answers bit-identical results to a local one —
-  JSON round-trips IEEE doubles and int64 labels exactly.  Errors cross
-  as ``{type, message}`` data (:func:`~repro.service.models.
-  error_to_wire`), never as pickled objects: attaching a remote shard
-  must not give it arbitrary-code-execution over the front.
+  length-prefixed **binary frames**, always.  Errors cross as ``{type,
+  message}`` data (:func:`~repro.service.models.error_to_wire`), never
+  as pickled objects: attaching a remote shard must not give it
+  arbitrary-code-execution over the front.
 
-Framing is a 4-byte big-endian unsigned length followed by the frame
-body, capped at :data:`MAX_FRAME_BYTES`.  Two body formats share the
-stream, distinguished by the first body byte:
+A socket frame is a 4-byte big-endian unsigned length followed by the
+frame body, capped at :data:`MAX_FRAME_BYTES`.  The body is the
+:data:`BINARY_MAGIC` byte, a 4-byte header length, a compact JSON
+header, then the array buffers back to back as raw little-endian
+C-order bytes.  The header holds every value in the lossless payload
+forms the HTTP endpoint speaks (:mod:`repro.service.models`
+``to_payload``/``from_payload``, :func:`~repro.service.models.
+graph_to_wire`), with each ndarray replaced by a ``{"__nd__": [buffer
+index, dtype code, shape]}`` reference plus a top-level ``"bufs"``
+byte-count table.  CSR edge arrays, weights, and assignments cross as
+one ``memoryview`` gather-write, and a socket-attached shard answers
+bit-identically to a local one.
 
-* ``{`` (0x7B) — a UTF-8 **JSON frame**, the PR 5 wire format and the
-  negotiated fallback every peer understands;
-* 0x00 (:data:`BINARY_MAGIC`) — a **binary frame**: a 4-byte header
-  length, a compact JSON header in which ndarrays are replaced by
-  ``{"__nd__": [buffer index, dtype code, shape]}`` references plus a
-  top-level ``"bufs"`` byte-count table, then the referenced buffers
-  back to back as raw little-endian C-order bytes.  CSR edge arrays,
-  weights, and assignments cross as one ``memoryview`` gather-write
-  instead of a number-by-number JSON encode.
-
-Binary frames are only *sent* after capability negotiation (the
-``capabilities`` shard verb — see :mod:`repro.service.sharding`), but
-every receiver accepts both formats unconditionally, so old and new
-peers interoperate frame by frame.  Since PR 10 the same handshake
-also negotiates the *ring protocol*: the front's ``capabilities`` call
-carries an optional args dict ``{"ring_protocol": 1, "ring_epoch": E}``
-and a ring-aware shard echoes ``ring_protocol``/``ring_epoch`` back in
-its reply — all inside an ordinary JSON frame, no new wire format.  An
-old peer ignores unknown args and omits the keys, which the front
-reads as "speaks no ring verbs"; an old front sends no args dict and a
-new shard answers exactly as before, so the epoch exchange costs
-nothing when unused and breaks nobody.  Both formats decode through the
-same value codec and therefore produce bit-identical messages.  The
-pipe lane has an analogous negotiated fast path: array payloads above
-:data:`SHM_MIN_BYTES` cross via a :mod:`multiprocessing.shared_memory`
-segment (the same binary header + buffer layout) instead of the pipe
-buffer.
+Each lane keeps the codec that measured fastest for it (see
+``benchmarks/NOTES.md``): on a pipe, pickle beats the binary frame at
+serving sizes (the frame's decode rebuilds the CSR) and shared memory
+beats pickle from :data:`SHM_MIN_BYTES` up; a socket peer must never
+be unpickled.
 
 A peer that disappears surfaces as
 :class:`EOFError`/:class:`OSError` from :meth:`recv`, which is exactly
 what the front's per-shard reader thread treats as shard death; a
-malformed or oversized frame of either format surfaces as
-:class:`ServiceError` *after* the full frame is consumed, so the
-stream stays in sync and the connection usable.  :class:`ShardListener`
-is the accept side used by the standalone shard server
-(``repro-partition serve --shard-listen``).
+malformed or oversized frame, or a body without the magic byte,
+surfaces as :class:`ServiceError` *after* the full frame is consumed,
+so the stream stays in sync and the connection usable.
+:class:`ShardListener` is the accept side used by the standalone shard
+server (``repro-partition serve --shard-listen``).
 """
 
 from __future__ import annotations
@@ -97,8 +81,6 @@ __all__ = [
     "ShardListener",
     "connect_shard",
     "parse_address",
-    "encode_message",
-    "decode_message",
     "encode_frame_binary",
     "decode_frame_binary",
 ]
@@ -107,8 +89,8 @@ __all__ = [
 #: prefix while leaving ample room for the largest mesh payloads
 MAX_FRAME_BYTES = 256 << 20
 
-#: first body byte of a binary frame — JSON bodies always start with
-#: ``{`` (0x7B), so 0x00 is unambiguous on a shared stream
+#: first body byte of every socket frame: a body that does not start
+#: with it is rejected whole instead of being misparsed
 BINARY_MAGIC = 0x00
 
 #: pipe messages whose array payloads reach this many bytes cross via a
@@ -151,13 +133,12 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# message codec (socket lane)
+# binary frames
 # ----------------------------------------------------------------------
 
-def _encode_value(value, arrays=None) -> dict:
-    """One message value → its tagged wire form.  ``arrays`` is the
-    binary lane's ndarray hook (see :func:`_encode_binary_parts`);
-    ``None`` keeps the PR 5 JSON form byte-for-byte."""
+def _encode_value(value, arrays) -> dict:
+    """One message value → its tagged header form; ``arrays`` is the
+    ndarray hook of :func:`_encode_binary_parts`."""
     if isinstance(value, (PartitionRequest, RefineRequest, UpdateRequest)):
         return {"t": "req", "v": value.to_payload(arrays=arrays)}
     if isinstance(value, CSRGraph):
@@ -199,15 +180,15 @@ def _decode_value(obj):
     raise ServiceError(f"unknown shard wire tag {tag!r}")
 
 
-def _message_to_obj(message, arrays=None) -> dict:
-    """One multiplexer message → its JSON-able frame object.
+def _message_to_obj(message, arrays) -> dict:
+    """One multiplexer message → its JSON-able frame header object.
 
     Accepts the shapes the shard protocol uses: the :data:`SHUTDOWN`
     control string, request tuples ``(req_id, verb, args)`` — optionally
     ``(req_id, verb, args, trace_ctx)`` when the front propagates a
     trace context — and reply tuples ``(req_id, ok, payload)``.  A
-    traceless request encodes to the exact same bytes as before the
-    trace field existed (the ``"tc"`` key is simply absent).
+    traceless request carries no ``"tc"`` key at all, so tracing adds
+    no bytes to the wire when it is off.
     """
     if message == SHUTDOWN:
         return {"ctl": "shutdown"}
@@ -229,12 +210,6 @@ def _message_to_obj(message, arrays=None) -> dict:
                 "payload": _encode_value(third, arrays),
             }
     raise ServiceError(f"cannot encode shard message: {message!r}")
-
-
-def encode_message(message) -> bytes:
-    """One multiplexer message → one JSON frame body (see
-    :func:`_message_to_obj` for the accepted message shapes)."""
-    return json.dumps(_message_to_obj(message), separators=(",", ":")).encode()
 
 
 def _obj_to_message(obj: dict):
@@ -264,22 +239,6 @@ def _obj_to_message(obj: dict):
         raise ServiceError(f"malformed shard frame: {exc!r}") from exc
     raise ServiceError(f"unrecognized shard frame: keys={sorted(obj)[:6]!r}")
 
-
-def decode_message(data: bytes):
-    """Inverse of :func:`encode_message` (malformed frames raise
-    :class:`ServiceError`, never crash the reader)."""
-    try:
-        obj = json.loads(data.decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ServiceError(f"malformed shard frame: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ServiceError("shard frame must be a JSON object")
-    return _obj_to_message(obj)
-
-
-# ----------------------------------------------------------------------
-# binary frames
-# ----------------------------------------------------------------------
 
 def _encode_binary_parts(message) -> tuple[bytes, list]:
     """One message → ``(JSON header bytes, [ndarray buffers])``.
@@ -439,9 +398,9 @@ def _array_nbytes(value) -> int:
 
 
 def _shm_unregister(shm) -> None:
-    """Hand segment ownership to the receiver: this process's resource
-    tracker must not unlink (or warn about) a segment the *receiver*
-    unlinks after copying it out."""
+    """Drop this process's resource-tracker registration of a segment
+    it will not unlink itself (the sender hands ownership to the
+    receiver, which unlinks after copying the segment out)."""
     try:
         from multiprocessing import resource_tracker
 
@@ -450,6 +409,16 @@ def _shm_unregister(shm) -> None:
     # send/recv that already succeeded; worst case is a shutdown warning
     except Exception:  # pragma: no cover - tracker internals vary
         pass
+
+
+def _shm_unlink(shm) -> None:
+    """Unlink a segment.  A successful ``unlink()`` also drops the
+    tracker registration, so only a failed one leaves it to drop here —
+    unregistering twice makes the tracker process print a traceback."""
+    try:
+        shm.unlink()
+    except (FileNotFoundError, OSError):  # pragma: no cover - raced
+        _shm_unregister(shm)
 
 
 def _recv_shm(message):
@@ -468,11 +437,7 @@ def _recv_shm(message):
         data = bytes(shm.buf)
     finally:
         shm.close()
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - raced
-            pass
-        _shm_unregister(shm)
+        _shm_unlink(shm)
     return _decode_binary_segment(header, data, exact=False)
 
 
@@ -498,35 +463,24 @@ class ShardTransport:
     def close(self) -> None:
         raise NotImplementedError
 
-    def enable_binary(self) -> bool:
-        """Switch this channel's sends to their zero-copy fast path
-        (binary socket frames / shared-memory pipe segments).  Returns
-        whether the transport has one; the base class does not."""
-        return False
-
 
 class PipeTransport(ShardTransport):
-    """The local fast lane: a multiprocessing pipe, pickled messages.
+    """The local lane: a multiprocessing pipe, pickled messages.
 
     ``send`` is serialized internally — Connection.send is not safe
     under concurrent writers, and the shard worker replies from
-    multiple handler threads.  After :meth:`enable_binary`, messages
-    whose array payloads reach :data:`SHM_MIN_BYTES` cross via a
-    shared-memory segment (binary header + raw buffers) instead of the
-    pickled pipe buffer — same decoded values either way."""
+    multiple handler threads.  Messages whose array payloads reach
+    ``shm_threshold`` (:data:`SHM_MIN_BYTES`) cross via a shared-memory
+    segment (binary header + raw buffers) instead of the pickled pipe
+    buffer — same decoded values either way."""
 
     def __init__(self, conn) -> None:
         self.conn = conn
         self._send_lock = threading.Lock()
-        self.shm = False
         self.shm_threshold = SHM_MIN_BYTES
 
-    def enable_binary(self) -> bool:
-        self.shm = True
-        return True
-
     def send(self, message) -> None:
-        if self.shm and _array_nbytes(message) >= self.shm_threshold:
+        if _array_nbytes(message) >= self.shm_threshold:
             self._send_shm(message)
             return
         with self._send_lock:
@@ -556,10 +510,7 @@ class PipeTransport(ShardTransport):
         except BaseException:
             # receiver never saw the name — reclaim the segment here
             shm.close()
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+            _shm_unlink(shm)
             raise
         # the receiver copies the segment out and unlinks it; drop our
         # tracker registration so this process doesn't double-unlink
@@ -587,54 +538,31 @@ class PipeTransport(ShardTransport):
 
 
 class SocketTransport(ShardTransport):
-    """The remote lane: length-prefixed frames over a socket.
-
-    Sends are JSON frames until :meth:`enable_binary`, then binary
-    frames (raw array buffers gather-written after a compact header).
-    Receives dispatch on the first body byte, so either peer may
-    upgrade independently."""
+    """The remote lane: length-prefixed binary frames over a socket
+    (raw array buffers gather-written after a compact header)."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._send_lock = threading.Lock()
-        self.binary = False
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # pragma: no cover - non-TCP socket pairs
             pass
 
-    def enable_binary(self) -> bool:
-        self.binary = True
-        return True
-
     def send(self, message) -> None:
-        if self.binary:
-            segments = encode_frame_binary(message)
-            length = sum(len(s) for s in segments)
-            if length > MAX_FRAME_BYTES:
-                raise ServiceError(
-                    f"shard frame of {length} bytes exceeds "
-                    f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-                )
-            segments.insert(0, struct.pack(">I", length))
-            with self._send_lock:
-                # repro: allow[LOCK-HELD-BLOCKING] — holding the send lock
-                # across the gather-write IS the serialization: whole frames
-                # must hit the socket atomically, the lock guards nothing else
-                self._send_segments(segments)
-            return
-        body = encode_message(message)
-        if len(body) > MAX_FRAME_BYTES:
+        segments = encode_frame_binary(message)
+        length = sum(len(s) for s in segments)
+        if length > MAX_FRAME_BYTES:
             raise ServiceError(
-                f"shard frame of {len(body)} bytes exceeds "
+                f"shard frame of {length} bytes exceeds "
                 f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
             )
-        frame = struct.pack(">I", len(body)) + body
+        segments.insert(0, struct.pack(">I", length))
         with self._send_lock:
-            # repro: allow[LOCK-HELD-BLOCKING] — holding the send lock across
-            # sendall IS the serialization: whole frames must hit the socket
-            # atomically, and the lock guards nothing else
-            self.sock.sendall(frame)
+            # repro: allow[LOCK-HELD-BLOCKING] — holding the send lock
+            # across the gather-write IS the serialization: whole frames
+            # must hit the socket atomically, the lock guards nothing else
+            self._send_segments(segments)
 
     def _send_segments(self, segments: list) -> None:
         """Gather-write without concatenating the array buffers (the
@@ -662,12 +590,13 @@ class SocketTransport(ShardTransport):
                 f"incoming shard frame of {length} bytes exceeds "
                 f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
             )
-        if length == 0:
-            return decode_message(b"")
         body = self._recv_into_exact(length)
-        if body[0] == BINARY_MAGIC:
-            return decode_frame_binary(memoryview(body)[1:])
-        return decode_message(bytes(body))
+        if not body or body[0] != BINARY_MAGIC:
+            raise ServiceError(
+                f"shard frame of {length} bytes does not start with the "
+                f"binary magic byte {BINARY_MAGIC:#04x}"
+            )
+        return decode_frame_binary(memoryview(body)[1:])
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []

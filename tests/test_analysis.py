@@ -216,6 +216,43 @@ class TestBroadExcept:
         assert rule_ids(report) == []
 
 
+def _try_source(*clauses):
+    """A ``try`` whose ``except`` clauses catch ``clauses`` in order."""
+    body = "".join(f"    except {c}:\n        pass\n" for c in clauses)
+    return "def f():\n    try:\n        work()\n" + body
+
+
+class TestExceptShadowed:
+    @pytest.mark.parametrize("clauses", [
+        # repro.errors hierarchy: the probe bug's shape
+        ("ServiceError", "ShardDiedError"),
+        ("ReproError", "(KeyError, ShardDiedError)"),
+        ("errors.ServiceError", "errors.ShardDiedError"),
+        # builtins, tuples, and a repeated clause
+        ("(OSError, ValueError)", "ConnectionResetError"),
+        ("Exception", "ServiceError"),
+        ("ValueError", "ValueError"),
+    ])
+    def test_fires_once(self, tmp_path, clauses):
+        report = findings_for(
+            tmp_path, _try_source(*clauses), rules=["EXCEPT-SHADOWED"]
+        )
+        assert rule_ids(report) == ["EXCEPT-SHADOWED"]
+
+    @pytest.mark.parametrize("clauses", [
+        ("ShardDiedError", "ServiceError"),
+        ("ConnectionResetError", "OSError", "Exception"),
+        ("(ServiceError, ShardDiedError)",),  # one clause: not shadowing
+        ("ServiceError", "OSError"),
+        ("FrobnicationError", "WidgetError"),  # unresolvable: skipped
+    ])
+    def test_clean(self, tmp_path, clauses):
+        report = findings_for(
+            tmp_path, _try_source(*clauses), rules=["EXCEPT-SHADOWED"]
+        )
+        assert rule_ids(report) == []
+
+
 class TestSuppressions:
     SOURCE = (
         "def f():\n"

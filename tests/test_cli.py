@@ -47,6 +47,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_front_flag_rejected(self, capsys):
+        """``serve --front`` was removed with the thread front; the
+        error names the flag instead of silently serving."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--front", "thread"])
+        assert "--front" in capsys.readouterr().err
+
 
 class TestPartitionCommand:
     @pytest.mark.parametrize("method", ["rsb", "rgb", "kl", "greedy", "random"])

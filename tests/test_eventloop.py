@@ -1,8 +1,7 @@
 """Tests for the selectors event-loop HTTP front (PR 9).
 
 Covers: HTTP/1.1 keep-alive and pipelined in-flight requests over a
-raw socket, malformed/oversized-input rejection, front parity with the
-thread-per-connection fallback, the persistent keep-alive
+raw socket, malformed/oversized-input rejection, the persistent keep-alive
 :class:`HTTPServiceClient` (connection reuse and automatic reconnect),
 and the acceptance stress: ≥256 simultaneous clients with mixed
 traffic, every response matched to its request with zero cross-talk,
@@ -46,9 +45,8 @@ def lock_graph():
     return extract_lock_graph([str(src)])
 
 
-def _start(front="eventloop", **kwargs):
-    server = serve(port=0, background=True, front=front, n_workers=2, **kwargs)
-    return server
+def _start(**kwargs):
+    return serve(port=0, background=True, n_workers=2, **kwargs)
 
 
 def _stop(server):
@@ -157,26 +155,16 @@ class TestEventLoopFront:
         finally:
             _stop(server)
 
-    def test_front_parity_with_thread_server(self, graph):
-        """Both fronts run the identical dispatch table: same answers,
-        same error shapes."""
-        results = {}
-        for front in ("eventloop", "thread"):
-            server = _start(front=front)
-            try:
-                host, port = server.server_address[:2]
-                client = HTTPServiceClient(f"http://{host}:{port}")
-                results[front] = client.partition(graph, 4, seed=0, ga=GA)
-                with pytest.raises(ServiceError, match="HTTP 404"):
-                    client._call("/v1/nope")
-                with pytest.raises(ServiceError, match="HTTP 400"):
-                    client._call("/v1/partition", {"n_parts": 4})
-            finally:
-                _stop(server)
-        assert np.array_equal(
-            results["eventloop"].assignment, results["thread"].assignment
-        )
-        assert results["eventloop"].cut_size == results["thread"].cut_size
+    def test_removed_front_option_is_rejected(self):
+        """The thread-per-connection front is gone: asking for it by
+        name fails loudly instead of quietly serving the event loop."""
+        from repro.service import PartitionService
+
+        with pytest.raises(TypeError, match="front"):
+            make_server(port=0, front="thread")
+        with PartitionService(n_workers=1) as svc:
+            with pytest.raises(ServiceError, match="front"):
+                make_server(port=0, service=svc, front="thread")
 
     def test_front_metrics_exported(self, graph):
         server = _start()

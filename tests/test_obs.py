@@ -46,7 +46,7 @@ from repro.service import (
     UpdateRequest,
     serve,
 )
-from repro.service.transport import decode_message, encode_message
+from repro.service.transport import decode_frame_binary, encode_frame_binary
 
 #: tiny GA budget — these tests exercise instrumentation, not search
 GA = dict(population_size=12, max_generations=6, patience=3)
@@ -301,9 +301,15 @@ class TestStructuredLogs:
                 n_shards=2, n_workers=1, auto_restart=False
             ) as svc:
                 target = svc.shard_of(graph)
-                svc._slots[target].handle.process.kill()
+                handle = svc._slots[target].handle
+                handle.process.kill()
                 with pytest.raises(ShardDiedError):
                     svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+                # the reader fails the caller before it runs the death
+                # path; let it finish, or close() can pre-empt the event
+                handle._reader.join(timeout=30)
+                assert not handle._reader.is_alive()
+                assert svc.shard_health()[target]["state"] != "up"
         events = [getattr(r, "event", None) for r in caplog.records]
         assert "shard_died" in events
 
@@ -503,15 +509,18 @@ class TestWireNeutrality:
         assert "spans" not in payload
 
     def test_frames_byte_identical_without_context(self):
+        def frame(message) -> bytes:
+            return b"".join(bytes(s) for s in encode_frame_binary(message))
+
         message = (7, "submit", ({"n_parts": 4},))
-        data = encode_message(message)
-        assert decode_message(data) == message  # still a 3-tuple
+        data = frame(message)
+        assert decode_frame_binary(data[1:]) == message  # still a 3-tuple
         assert b'"tc"' not in data
         traced = message + (CTX,)
-        round_tripped = decode_message(encode_message(traced))
+        round_tripped = decode_frame_binary(frame(traced)[1:])
         assert round_tripped == traced
         # an empty context dict costs nothing on the wire either
-        assert encode_message(message) == data
+        assert frame(message + ({},)) == data
 
 
 # ----------------------------------------------------------------------

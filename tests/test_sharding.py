@@ -205,14 +205,28 @@ class TestShardedService:
 # socket transport (PR 5)
 # ----------------------------------------------------------------------
 
+def _roundtrip(message):
+    """One message through the socket lane's binary frame codec."""
+    from repro.service.transport import decode_frame_binary
+
+    return decode_frame_binary(_frame(message))
+
+
+def _frame(message) -> bytes:
+    """Whole binary frame body after the magic byte, as one buffer
+    (what :meth:`SocketTransport.recv` hands the decoder)."""
+    from repro.service.transport import encode_frame_binary
+
+    segments = encode_frame_binary(message)
+    return b"".join(bytes(memoryview(s)) for s in segments)[1:]
+
+
 class TestSocketTransport:
     def test_message_codec_roundtrip(self, graph):
-        """The length-prefixed JSON codec round-trips the multiplexer
-        message shapes losslessly (requests, results, errors)."""
-        from repro.service.transport import decode_message, encode_message
-
+        """The binary frame codec round-trips the multiplexer message
+        shapes losslessly (requests, results, errors)."""
         req = PartitionRequest(graph, 4, seed=3, ga=GA)
-        msg = decode_message(encode_message((7, "submit", (req,))))
+        msg = _roundtrip((7, "submit", (req,)))
         assert msg[0] == 7 and msg[1] == "submit"
         back = msg[2][0]
         assert back.graph == graph
@@ -220,15 +234,13 @@ class TestSocketTransport:
 
         with PartitionService(n_workers=1) as svc:
             result = svc.submit(PartitionRequest(graph, 4, method="greedy"))
-        rid, ok, payload = decode_message(encode_message((9, True, result)))
+        rid, ok, payload = _roundtrip((9, True, result))
         assert (rid, ok) == (9, True)
         assert np.array_equal(payload.assignment, result.assignment)
         assert payload.cut_size == result.cut_size
         assert payload.fitness == result.fitness
 
-        rid, ok, payload = decode_message(
-            encode_message((1, False, ShardDiedError("gone")))
-        )
+        rid, ok, payload = _roundtrip((1, False, ShardDiedError("gone")))
         assert not ok
         assert isinstance(payload, ShardDiedError)
         assert "gone" in str(payload)
@@ -339,23 +351,9 @@ class TestSocketTransport:
 # ----------------------------------------------------------------------
 
 class TestBinaryFrames:
-    def _frame(self, message) -> bytes:
-        """Whole binary frame body after the magic byte, as one buffer
-        (what :meth:`SocketTransport.recv` hands the decoder)."""
-        from repro.service.transport import encode_frame_binary
-
-        segments = encode_frame_binary(message)
-        return b"".join(bytes(memoryview(s)) for s in segments)[1:]
-
-    def test_roundtrip_bit_identical_to_json_lane(self, graph):
-        """The acceptance contract: a message through the binary codec
-        decodes to values whose JSON re-encode is byte-identical to the
-        JSON lane's — the two wire formats are interchangeable."""
-        from repro.service.transport import (
-            decode_frame_binary,
-            encode_message,
-        )
-
+    def test_roundtrip_reencodes_byte_identically(self, graph):
+        """The codec is lossless: a decoded message re-encodes to the
+        byte-identical frame it was decoded from."""
         req = PartitionRequest(graph, 4, seed=3, ga=GA)
         with PartitionService(n_workers=1) as svc:
             result = svc.submit(PartitionRequest(graph, 4, method="greedy"))
@@ -365,8 +363,7 @@ class TestBinaryFrames:
             (1, False, ShardDiedError("gone")),
             (2, "stats", ()),
         ):
-            decoded = decode_frame_binary(self._frame(message))
-            assert encode_message(decoded) == encode_message(message)
+            assert _frame(_roundtrip(message)) == _frame(message)
 
     def test_decoded_arrays_are_zero_copy_views(self, graph):
         """Result assignments decode as views into the frame buffer —
@@ -376,7 +373,7 @@ class TestBinaryFrames:
 
         with PartitionService(n_workers=1) as svc:
             result = svc.submit(PartitionRequest(graph, 4, method="greedy"))
-        decoded = decode_frame_binary(self._frame((9, True, result)))
+        decoded = decode_frame_binary(_frame((9, True, result)))
         back = decoded[2].assignment
         assert not back.flags.owndata  # view into the frame
         assert np.array_equal(back, result.assignment)
@@ -384,7 +381,7 @@ class TestBinaryFrames:
     def test_truncated_header_raises_service_error(self, graph):
         from repro.service.transport import decode_frame_binary
 
-        body = self._frame((2, "stats", ()))
+        body = _frame((2, "stats", ()))
         with pytest.raises(ServiceError, match="truncated"):
             decode_frame_binary(body[:3])  # shorter than the length word
         with pytest.raises(ServiceError, match="overruns"):
@@ -393,7 +390,7 @@ class TestBinaryFrames:
     def test_truncated_buffer_raises_service_error(self, graph):
         from repro.service.transport import decode_frame_binary
 
-        body = self._frame((7, "submit", (PartitionRequest(graph, 4),)))
+        body = _frame((7, "submit", (PartitionRequest(graph, 4),)))
         with pytest.raises(ServiceError, match="declares"):
             decode_frame_binary(body[:-8])  # last array buffer cut short
 
@@ -430,10 +427,11 @@ class TestBinaryFrames:
                 decode_frame_binary(body)
 
     def test_socket_transport_mixed_stream_stays_in_sync(self, graph):
-        """A receiver accepts JSON and binary frames interleaved on one
-        connection, and a validation error leaves the stream usable —
-        the decoder consumes whole frames before judging them."""
+        """A frame without the magic byte (an empty one, or a JSON body)
+        raises ServiceError only after it is consumed whole, so the
+        next frame on the connection still decodes."""
         import socket as _socket
+        import struct as _struct
 
         from repro.service.transport import SocketTransport
 
@@ -441,17 +439,14 @@ class TestBinaryFrames:
         ta, tb = SocketTransport(a), SocketTransport(b)
         try:
             req = PartitionRequest(graph, 4, seed=3, ga=GA)
-            ta.send((1, "submit", (req,)))          # JSON frame
-            assert ta.enable_binary()
-            ta.send((2, "submit", (req,)))          # binary frame
-            ta.send((3, "stats", ()))               # binary, no arrays
-            m1, m2, m3 = tb.recv(), tb.recv(), tb.recv()
-            assert [m[0] for m in (m1, m2, m3)] == [1, 2, 3]
-            assert m1[2][0].graph == graph
-            assert m2[2][0].graph == graph
-            assert np.array_equal(
-                m1[2][0].graph.edges_u, m2[2][0].graph.edges_u
-            )
+            for body in (b"", b'{"id":1,"verb":"stats","args":[]}'):
+                a.sendall(_struct.pack(">I", len(body)) + body)
+                ta.send((2, "submit", (req,)))
+                with pytest.raises(ServiceError, match="magic byte"):
+                    tb.recv()
+                message = tb.recv()
+                assert message[0] == 2
+                assert message[2][0].graph == graph
         finally:
             ta.close()
             tb.close()
@@ -468,7 +463,6 @@ class TestBinaryFrames:
         try:
             req = PartitionRequest(graph, 4, seed=3, ga=GA)
             ta.send((1, "submit", (req,)))          # pickle lane
-            assert ta.enable_binary()
             ta.shm_threshold = 1                     # force the shm lane
             ta.send((2, "submit", (req,)))          # shared-memory lane
             m1, m2 = tb.recv(), tb.recv()
@@ -480,69 +474,84 @@ class TestBinaryFrames:
             ta.close()
             tb.close()
 
-    def test_negotiation_pipe_socket_and_disabled(self, graph):
-        """The capabilities handshake: local pipe shards and attached
-        socket shards both negotiate binary; ``binary_frames=False``
-        pins JSON without touching the peer."""
-        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
-            assert all(s.handle.binary for s in svc._slots)
-        with ShardedPartitionService(
-            n_shards=1, n_workers=1, binary_frames=False
-        ) as svc:
-            assert not any(s.handle.binary for s in svc._slots)
-        with ShardServer(n_workers=1) as server:
-            server.start()
-            front = ShardedPartitionService(attach=[server.address])
-            try:
-                assert all(s.handle.binary for s in front._slots)
-            finally:
-                front.close()
+    def test_shared_memory_lane_balances_resource_tracker(
+        self, graph, monkeypatch
+    ):
+        """One shared-memory send/recv unregisters each segment exactly
+        as often as it registers it: one unregister too many makes the
+        tracker process print a KeyError traceback per large message."""
+        import multiprocessing as mp
+        from multiprocessing import resource_tracker
 
-    def test_binary_vs_json_trace_bit_identical(self):
-        """The PR's invariant: the binary data plane is purely an
-        encoding — a replayed mixed trace answers bit-identically with
-        it negotiated on (default) and forced off, over both local pipe
-        shards and socket-attached shard servers."""
-        trace = service_trace(n_requests=8, seed=5, n_parts=4, ga=GA)
-        with ServiceClient(shards=2, n_workers=2) as client:
-            binary_pipe = replay_trace(client, trace)
-        with ServiceClient(
-            shards=2, n_workers=2, binary_frames=False
-        ) as client:
-            json_pipe = replay_trace(client, trace)
-        servers = [ShardServer(n_workers=2).start() for _ in range(2)]
-        try:
-            front = ShardedPartitionService(
-                attach=[s.address for s in servers]
+        from repro.service.transport import PipeTransport
+
+        calls = {"register": [], "unregister": []}
+        for op in calls:
+            monkeypatch.setattr(
+                resource_tracker, op,
+                lambda name, rtype, op=op: calls[op].append((name, rtype)),
             )
-            assert all(s.handle.binary for s in front._slots)
-            with ServiceClient(service=front) as client:
-                binary_socket = replay_trace(client, trace)
+        left, right = mp.Pipe()
+        ta, tb = PipeTransport(left), PipeTransport(right)
+        try:
+            ta.shm_threshold = 1
+            ta.send((1, "submit", (PartitionRequest(graph, 4),)))
+            assert tb.recv()[2][0].graph == graph
         finally:
-            for server in servers:
-                server.close()
-        for results in (json_pipe, binary_socket):
-            assert len(results) == len(binary_pipe)
-            for (op_a, res_a), (op_b, res_b) in zip(binary_pipe, results):
-                assert op_a == op_b
-                if op_a["op"] in ("partition", "open", "update"):
-                    assert np.array_equal(res_a.assignment, res_b.assignment)
-                    assert res_a.cut_size == res_b.cut_size
-                    assert res_a.fitness == res_b.fitness
+            ta.close()
+            tb.close()
+        assert calls["register"]
+        assert sorted(calls["register"]) == sorted(calls["unregister"])
+
+    def test_attach_refuses_other_ring_protocol(self):
+        """A shard whose ``ping`` reports another ring protocol is
+        refused at connect, with an error naming both versions."""
+        from repro.service import RING_PROTOCOL_VERSION, ShardListener
+
+        other = RING_PROTOCOL_VERSION + 1
+        listener = ShardListener()
+
+        def fake_shard():
+            conn = listener.accept()
+            try:
+                req_id, verb, _ = conn.recv()
+                assert verb == "ping"
+                conn.send((req_id, True, {"ok": True, "ring_protocol": other}))
+                conn.recv()  # the front hangs up after refusing
+            except (EOFError, OSError):
+                pass
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=fake_shard, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                ShardedPartitionService(attach=[listener.address])
+        finally:
+            listener.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert type(excinfo.value) is ServiceError
+        message = str(excinfo.value)
+        assert f"ring protocol {other}" in message
+        assert f"ring protocol {RING_PROTOCOL_VERSION}" in message
+
+    def test_removed_binary_frames_option_is_rejected(self):
+        with pytest.raises(TypeError, match="binary_frames"):
+            ServiceConfig(binary_frames=False)
 
     def test_restarted_shard_renegotiates_binary(self, graph):
-        """Failover keeps the fast path: a supervised replacement shard
-        re-runs the handshake, and answers stay bit-identical."""
+        """A supervised replacement shard re-runs the ``ping`` hello
+        before it serves, and answers stay bit-identical."""
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
             shard = svc.shard_of(graph)
-            assert svc._slots[shard].handle.binary
             before = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             svc._slots[shard].handle.process.kill()
             assert _wait_for(
                 lambda: svc.shard_health()[shard]["state"] == "up"
                 and svc.shard_health()[shard]["restarts"] == 1
             )
-            assert svc._slots[shard].handle.binary  # re-negotiated
             after = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             assert np.array_equal(after.assignment, before.assignment)
             assert after.cut_size == before.cut_size
@@ -948,6 +957,27 @@ class TestElasticFleet:
             s0.close()
             if restarted is not None:
                 restarted.close()
+
+    def test_probe_ejects_shard_whose_ping_dies(self, monkeypatch):
+        """A live slot whose ``ping`` raises ShardDiedError fails its
+        probe: ejected from the ring with one probe failure counted
+        (the death error must not pass for an answer)."""
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            handle = svc._slots[1].handle
+            call = handle.call
+
+            def dying_ping(verb, *args, **kwargs):
+                if verb == "ping":
+                    raise ShardDiedError("shard 1 died with the ping in flight")
+                return call(verb, *args, **kwargs)
+
+            monkeypatch.setattr(handle, "call", dying_ping)
+            rows = svc.probe_shards()
+            assert rows[1]["probe_ok"] is False
+            assert rows[1]["probe_failures"] == 1
+            assert rows[1]["in_ring"] is False
+            assert svc.ring.members == (0,)
+            assert rows[0]["probe_ok"] is True and rows[0]["in_ring"]
 
     def test_remove_shard_is_permanent(self, graph):
         with ShardedPartitionService(n_shards=3, n_workers=1) as svc:
