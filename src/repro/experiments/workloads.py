@@ -68,6 +68,10 @@ INCREMENTAL_PAIRS: tuple[tuple[int, int], ...] = (
 #: deterministic seed namespace for the insertions
 _UPDATE_SEED_BASE = 19941115  # SC'94 conference week
 
+#: one mesh per base size, shared by :func:`workload` and
+#: :func:`incremental_case` (graphs are immutable)
+_base_mesh = lru_cache(maxsize=None)(paper_mesh)
+
 
 @lru_cache(maxsize=None)
 def incremental_case(base: int, added: int) -> tuple[CSRGraph, IncrementalUpdate]:
@@ -78,7 +82,7 @@ def incremental_case(base: int, added: int) -> tuple[CSRGraph, IncrementalUpdate
     """
     if added < 1:
         raise ExperimentError(f"added must be >= 1, got {added}")
-    base_graph = paper_mesh(base)
+    base_graph = _base_mesh(base)
     update = insert_local_nodes(
         base_graph, added, seed=_UPDATE_SEED_BASE + base * 1000 + added
     )
@@ -97,7 +101,7 @@ def workload(size: int) -> CSRGraph:
         base, added = DERIVED_SIZES[size]
         _, update = incremental_case(base, added)
         return update.graph
-    return paper_mesh(size)
+    return _base_mesh(size)
 
 
 def workload_names() -> list[str]:

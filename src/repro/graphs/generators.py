@@ -179,8 +179,10 @@ def delaunay_mesh(points: np.ndarray) -> CSRGraph:
     )
     # adjacent triangles share edges; deduplicate so every mesh edge has
     # unit weight (CSRGraph would otherwise merge duplicates by summing)
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    return CSRGraph(pts.shape[0], edges[:, 0], edges[:, 1], coords=pts)
+    n = pts.shape[0]
+    edges = np.sort(edges, axis=1).astype(np.int64)
+    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    return CSRGraph(n, keys // n, keys % n, coords=pts)
 
 
 def caveman_graph(n_cliques: int, clique_size: int) -> CSRGraph:

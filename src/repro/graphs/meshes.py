@@ -70,13 +70,17 @@ def blue_noise_points(
         return np.zeros((0, 2))
     pts = np.empty((n, 2))
     pts[0] = rng.random(2)
+    # every round's candidates at once (the same stream as drawing them
+    # round by round), and each candidate's squared distance to its
+    # nearest accepted point, lowered as each point is accepted
+    cand = rng.random((n - 1, candidates, 2))
+    nearest = np.full((n - 1, candidates), np.inf)
     for i in range(1, n):
-        cand = rng.random((candidates, 2))
-        # distance of each candidate to its nearest accepted point
-        d = np.min(
-            np.sum((cand[:, None, :] - pts[None, :i, :]) ** 2, axis=2), axis=1
-        )
-        pts[i] = cand[np.argmax(d)]
+        diff = cand[i - 1 :] - pts[i - 1]
+        diff *= diff
+        rest = nearest[i - 1 :]
+        np.minimum(rest, diff[..., 0] + diff[..., 1], out=rest)
+        pts[i] = cand[i - 1, rest[0].argmax()]
     return pts
 
 

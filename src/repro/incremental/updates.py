@@ -100,31 +100,30 @@ def insert_local_nodes(
     # bounding box and be distinct from all other points (coincident
     # points would come out of the triangulation as isolated vertices)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    accepted: list[np.ndarray] = []
-    existing = coords
+    all_pts = np.empty((n_old + n_new, 2))
+    all_pts[:n_old] = coords
+    placed = n_old
     tol = 1e-9
     for _ in range(200 * n_new):
-        if len(accepted) == n_new:
+        if placed == n_old + n_new:
             break
         r = radius * np.sqrt(rng.random())
         theta = 2 * np.pi * rng.random()
         cand = cpt + np.array([r * np.cos(theta), r * np.sin(theta)])
-        if np.any(cand < lo) or np.any(cand > hi):
+        if (cand < lo).any() or (cand > hi).any():
             continue
-        pool = (
-            np.vstack([existing] + accepted) if accepted else existing
-        )
-        if np.min(np.sum((pool - cand) ** 2, axis=1)) < tol:
+        diff = all_pts[:placed] - cand
+        diff *= diff
+        if diff.sum(axis=1).min() < tol:
             continue
-        accepted.append(cand[None, :])
-    if len(accepted) < n_new:
+        all_pts[placed] = cand
+        placed += 1
+    if placed < n_old + n_new:
         raise GraphError(
             f"could not place {n_new} distinct points in radius {radius:g}; "
             "increase the radius"
         )
-    pts = np.vstack(accepted)
 
-    all_pts = np.vstack([coords, pts])
     new_graph = delaunay_mesh(all_pts)
     # carry node weights: old weights preserved, new nodes unit weight
     node_w = np.concatenate([graph.node_weights, np.ones(n_new)])

@@ -138,6 +138,20 @@ class TestGeometric:
         assert g.n_edges <= 3 * g.n_nodes - 6
         assert is_connected(g)
 
+    def test_delaunay_edges_are_the_triangle_edges_once(self):
+        from scipy.spatial import Delaunay
+
+        pts = np.random.default_rng(5).random((120, 2))
+        simplices = Delaunay(pts).simplices
+        edges = np.vstack(
+            [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]
+        )
+        ref = np.unique(np.sort(edges, axis=1), axis=0)
+        g = delaunay_mesh(pts)
+        assert np.array_equal(g.edges_u, ref[:, 0])
+        assert np.array_equal(g.edges_v, ref[:, 1])
+        assert np.all(g.edge_weights == 1.0)
+
     def test_delaunay_needs_3_points(self):
         with pytest.raises(GraphError):
             delaunay_mesh(np.zeros((2, 2)))

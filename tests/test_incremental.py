@@ -56,6 +56,32 @@ class TestInsertLocalNodes:
         assert a.graph == b.graph
         assert a.center == b.center
 
+    def test_points_match_one_draw_at_a_time(self):
+        """The canonical incremental cases rest on these exact points:
+        the same draws, rejections and order as a loop that re-stacks
+        the accepted points for every candidate."""
+        g, n_new = paper_mesh(118), 41
+        upd = insert_local_nodes(g, n_new, seed=7)
+        rng = np.random.default_rng(7)
+        coords = g.coords
+        center = int(rng.integers(0, g.n_nodes))
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        area = float(np.prod(np.maximum(hi - lo, 1e-12)))
+        radius = float(np.sqrt(3.0 * n_new * area / (np.pi * g.n_nodes)))
+        accepted = []
+        while len(accepted) < n_new:
+            r = radius * np.sqrt(rng.random())
+            theta = 2 * np.pi * rng.random()
+            cand = coords[center] + np.array([r * np.cos(theta), r * np.sin(theta)])
+            if np.any(cand < lo) or np.any(cand > hi):
+                continue
+            pool = np.vstack([coords] + accepted)
+            if np.min(np.sum((pool - cand) ** 2, axis=1)) < 1e-9:
+                continue
+            accepted.append(cand[None, :])
+        assert upd.center == center
+        assert np.array_equal(upd.graph.coords[g.n_nodes :], np.vstack(accepted))
+
     def test_node_weights_extended(self):
         g = mesh_graph(30, seed=1).with_weights(node_weights=np.full(30, 2.0))
         upd = insert_local_nodes(g, 5, seed=3)

@@ -37,6 +37,23 @@ class TestBlueNoise:
         with pytest.raises(GraphError):
             blue_noise_points(-3)
 
+    @pytest.mark.parametrize("n,candidates", [(1, 12), (2, 1), (40, 6), (183, 12)])
+    def test_matches_one_round_at_a_time(self, n, candidates):
+        """The canonical meshes rest on these exact points: drawing every
+        round up front must pick what drawing and scanning one candidate
+        set per round picks, bit for bit."""
+        rng = np.random.default_rng(11)
+        ref = np.empty((n, 2))
+        ref[0] = rng.random(2)
+        for i in range(1, n):
+            cand = rng.random((candidates, 2))
+            d = np.min(
+                np.sum((cand[:, None, :] - ref[None, :i, :]) ** 2, axis=2), axis=1
+            )
+            ref[i] = cand[np.argmax(d)]
+        pts = blue_noise_points(n, seed=11, candidates=candidates)
+        assert np.array_equal(pts, ref)
+
     def test_spacing_better_than_uniform(self):
         """Best-candidate sampling should avoid very close pairs."""
         pts = blue_noise_points(50, seed=2)
