@@ -17,6 +17,7 @@ __all__ = [
     "ExperimentError",
     "ServiceError",
     "ShardDiedError",
+    "NeedsGraph",
 ]
 
 
@@ -57,3 +58,9 @@ class ShardDiedError(ServiceError):
     was in flight or before it could be sent.  The request was *not*
     completed; idempotent requests may be retried once the shard is
     restarted or reattached."""
+
+
+class NeedsGraph(ServiceError):
+    """A request named its graph by digest alone, and the service holds
+    neither the answer nor the graph.  Nothing was computed; the caller
+    resends the same request with the graph attached (HTTP 409)."""

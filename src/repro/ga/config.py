@@ -8,7 +8,9 @@ reasonable envelope for its few-hundred-node graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Optional
 
 from ..errors import ConfigError
@@ -19,6 +21,22 @@ __all__ = ["GAConfig", "PAPER_POPULATION", "PAPER_CROSSOVER_RATE", "PAPER_MUTATI
 PAPER_POPULATION = 320
 PAPER_CROSSOVER_RATE = 0.7
 PAPER_MUTATION_RATE = 0.01
+
+#: fields that count things; ``None`` is allowed where marked
+_INT_FIELDS = (
+    ("population_size", False),
+    ("max_generations", False),
+    ("patience", True),
+    ("tournament_size", False),
+    ("elite", False),
+    ("hill_climb_passes", False),
+    ("eval_memo", False),
+)
+_REAL_FIELDS = (
+    ("crossover_rate", False),
+    ("mutation_rate", False),
+    ("target_fitness", True),
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,27 @@ class GAConfig:
     eval_memo: int = 4096
 
     def __post_init__(self) -> None:
+        # overrides arrive from the service wire, where a JSON number
+        # may be 2.5, NaN, Infinity or true: reject those before any
+        # range check compares them (NaN passes every comparison)
+        for name, optional in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, optional in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.population_size < 2:
             raise ConfigError(
                 f"population_size must be >= 2, got {self.population_size}"

@@ -61,7 +61,7 @@ from .transport import (
     connect_shard,
     parse_address,
 )
-from .sharding import ShardServer, ShardedPartitionService, shard_for_digest
+from .sharding import ShardServer, ShardedPartitionService
 from .client import HTTPServiceClient, ServiceClient
 from .http import dispatch_request, make_server, serve
 from .eventloop import EventLoopHTTPServer
@@ -71,7 +71,6 @@ __all__ = [
     "ServiceConfig",
     "ShardedPartitionService",
     "ShardServer",
-    "shard_for_digest",
     "ShardTransport",
     "PipeTransport",
     "SocketTransport",

@@ -21,6 +21,10 @@ Three stores hang off those names:
 * warm seed partitions — the best assignment the service has computed
   per ``(graph, k, fitness)``, offered to ``warm_start`` requests so
   near-duplicate traffic starts from a good solution instead of cold.
+
+:class:`ShippedLRU` is the sending side of digest-first traffic: the
+digests a sender has already shipped to one peer, so later requests
+for the same graph carry the digest alone.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "LRUBytesCache",
     "GraphStore",
     "ContentStore",
+    "ShippedLRU",
 ]
 
 
@@ -199,6 +204,16 @@ class GraphStore:
         self._graphs.put(digest, graph, _graph_nbytes(graph))
         return digest, graph
 
+    def lookup(self, digest: str) -> Optional[CSRGraph]:
+        """The resident graph named by ``digest``, or ``None``.  Never
+        builds a graph: this is how a digest-only request finds its
+        graph."""
+        resident = self._graphs.get(digest)
+        if resident is not None:
+            with self._lock:
+                self.interned += 1
+        return resident
+
     # -- warm seed partitions ------------------------------------------
     @staticmethod
     def _seed_key(digest: str, n_parts: int, fitness_kind: str) -> str:
@@ -302,3 +317,39 @@ class ContentStore:
             "results": self.results.stats(),
             "graphs": self.graphs.stats(),
         }
+
+
+class ShippedLRU:
+    """The graph digests a sender has shipped to one peer (thread-safe).
+
+    Bounded to ``capacity`` digests, least recently used out first.
+    The peer keeps a bounded intern table too, so a digest this side
+    forgets was likely dropped there as well, and a digest this side
+    remembers wrongly costs one resend with the graph
+    (:class:`~repro.errors.NeedsGraph`), never a wrong answer.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = int(capacity)
+        self._lock = threading.Lock()
+        self._digests: "OrderedDict[str, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._digests)
+
+    def seen(self, digest: str) -> bool:
+        """Whether ``digest`` was shipped (a hit counts as a use)."""
+        with self._lock:
+            if digest not in self._digests:
+                return False
+            self._digests.move_to_end(digest)
+            return True
+
+    def mark(self, digest: str) -> None:
+        """Record that the peer now holds ``digest``."""
+        with self._lock:
+            self._digests[digest] = None
+            self._digests.move_to_end(digest)
+            while len(self._digests) > self.capacity:
+                self._digests.popitem(last=False)

@@ -13,7 +13,11 @@ Two interchangeable clients expose the same verbs (``partition``,
   connection** (one :class:`http.client.HTTPConnection` per thread,
   reconnecting automatically) — the right tool from another process or
   machine, and the pairing for the event-loop front: a client-side
-  benchmark measures the server, not per-request TCP setup.
+  benchmark measures the server, not per-request TCP setup.  It ships
+  each graph to its server once: a later ``partition`` of the same
+  graph sends the graph's digest alone, and a ``409 needs_graph``
+  answer (the server no longer holds the graph) resends once with the
+  graph.
 
 Because both run the identical service core, a test or traffic replay
 written against one client holds for the other.
@@ -29,8 +33,9 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from ..errors import ServiceError, ShardDiedError
+from ..errors import NeedsGraph, ServiceError, ShardDiedError
 from ..graphs.csr import CSRGraph
+from .cache import ShippedLRU, graph_digest
 from .core import PartitionService
 from .models import (
     JobResult,
@@ -41,6 +46,12 @@ from .models import (
 )
 
 __all__ = ["ServiceClient", "HTTPServiceClient"]
+
+#: graphs an :class:`HTTPServiceClient` remembers having shipped.  A
+#: remembered graph the server has dropped costs one 409 and a resend,
+#: so the bound caps memory only; it exceeds the graphs the server's
+#: default graph store holds at the paper's mesh sizes.
+SHIPPED_DIGESTS = 1024
 
 
 class ServiceClient:
@@ -168,6 +179,14 @@ class HTTPServiceClient:
     have been processed.  A request that fails on a fresh connection is
     never retried: the service may have seen it, and replaying e.g. a
     session update must be the caller's explicit decision.
+
+    ``partition`` is digest-first: the client remembers (in a bounded
+    :class:`~repro.service.cache.ShippedLRU` shared by its threads) the
+    graphs it has shipped to this server, and sends a shipped graph's
+    ``graph_digest`` in place of the graph.  A ``409`` with
+    ``needs_graph`` surfaces as :class:`~repro.errors.NeedsGraph` and
+    ``partition`` resends once with the graph; a ``503`` surfaces as
+    :class:`~repro.errors.ShardDiedError`.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
@@ -182,6 +201,7 @@ class HTTPServiceClient:
         self._port = parts.port or 80
         self._prefix = parts.path.rstrip("/")
         self._local = threading.local()  # per-thread persistent connection
+        self._shipped = ShippedLRU(SHIPPED_DIGESTS)
 
     # -- transport -----------------------------------------------------
     def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
@@ -241,12 +261,20 @@ class HTTPServiceClient:
             )
         if status >= 400:
             try:
-                message = json.loads(data.decode()).get(
-                    "error", f"HTTP {status}"
-                )
-            except (ValueError, AttributeError, UnicodeDecodeError):
-                message = f"HTTP {status}"
-            raise ServiceError(f"{path} failed with HTTP {status}: {message}")
+                body = json.loads(data.decode())
+            except (ValueError, UnicodeDecodeError):
+                body = None
+            if not isinstance(body, dict):
+                body = {}
+            message = (
+                f"{path} failed with HTTP {status}: "
+                f"{body.get('error', f'HTTP {status}')}"
+            )
+            if status == 409 and body.get("needs_graph") is True:
+                raise NeedsGraph(message)
+            if status == 503:
+                raise ShardDiedError(message)
+            raise ServiceError(message)
         try:
             return json.loads(data.decode())
         except (ValueError, UnicodeDecodeError) as exc:
@@ -255,26 +283,38 @@ class HTTPServiceClient:
             ) from exc
 
     def _call_idempotent(self, path: str, payload: dict) -> dict:
-        """POST a stateless request, retrying **once** on HTTP 503 (the
-        front answering "the owning shard died mid-call").  Safe only
-        for ``partition``/``refine``: they are pure functions of the
+        """POST a stateless request, retrying **once** on
+        :class:`ShardDiedError` (HTTP 503: the front answering "the
+        owning shard died mid-call").  Safe only for
+        ``partition``/``refine``: they are pure functions of the
         request, so the replay — now routed by the post-ejection ring —
         returns the bit-identical result.  Session updates never take
         this path: replaying one would advance the session's RNG stream
         twice and break bit-identity."""
         try:
             return self._call(path, payload)
-        except ServiceError as exc:
-            if "HTTP 503" not in str(exc):
-                raise
+        except ShardDiedError:
             return self._call(path, payload)
 
     # -- verbs ---------------------------------------------------------
     def partition(self, graph: CSRGraph, n_parts: int, **kwargs) -> JobResult:
+        """Partition ``graph``; a graph this client already shipped to
+        the server travels as its digest (see the class docstring)."""
+        digest = graph_digest(graph)
+        if self._shipped.seen(digest):
+            request = PartitionRequest(
+                None, n_parts, graph_digest=digest, **kwargs
+            )
+            try:
+                return JobResult.from_payload(
+                    self._call_idempotent("/v1/partition", request.to_payload())
+                )
+            except NeedsGraph:
+                pass  # the server no longer holds the graph: ship it
         payload = PartitionRequest(graph, n_parts, **kwargs).to_payload()
-        return JobResult.from_payload(
-            self._call_idempotent("/v1/partition", payload)
-        )
+        out = self._call_idempotent("/v1/partition", payload)
+        self._shipped.mark(digest)
+        return JobResult.from_payload(out)
 
     def refine(
         self, graph: CSRGraph, n_parts: int, assignment: np.ndarray, **kwargs

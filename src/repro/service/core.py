@@ -28,6 +28,12 @@ generation bookkeeping no longer serializes on the GIL.  Graph payloads
 ship to a process slot once per pin and are interned worker-side
 (:mod:`repro.service.procexec`).
 
+Digest-first requests: a :class:`PartitionRequest` may name its graph
+by digest alone.  Its answer is looked up by digest first, so a cache
+hit needs no graph; a miss resolves the digest against the graph
+store, and a graph that is not resident raises
+:class:`~repro.errors.NeedsGraph` before anything is scheduled.
+
 Determinism contract: cached, joined, group-coalesced, and
 process-routed answers are bit-identical to what a cold serial run of
 the same request (same seed) would return.  The only opt-out is
@@ -40,12 +46,11 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import ConfigError, ReproError, ServiceError
+from ..errors import ConfigError, NeedsGraph, ReproError, ServiceError
 from ..ga.batch_climb import climb_batch
 from ..ga.config import GAConfig
 from ..ga.fitness import make_fitness
@@ -54,7 +59,7 @@ from ..obs.hooks import ExecRecorder, recording
 from ..obs.metrics import MetricsRegistry, histogram_percentile
 from ..obs.trace import NULL_SPAN, Tracer
 from ..partition.partition import Partition
-from .cache import ContentStore, request_key
+from .cache import ContentStore, ShippedLRU, request_key
 from .config import ServiceConfig
 from .models import (
     JobResult,
@@ -64,7 +69,7 @@ from .models import (
     result_from_partition,
 )
 from .portfolio import run_portfolio
-from .procexec import NEEDS_GRAPH, graph_to_arrays, run_partition_job
+from .procexec import WORKER_GRAPH_CAP, graph_to_arrays, run_partition_job
 from .scheduler import CoalescingScheduler
 from .sessions import SessionManager
 
@@ -151,10 +156,12 @@ class PartitionService:
         # digests whose CSR arrays were shipped to each process slot —
         # later jobs for the pin send the digest alone.  Bounded to the
         # worker-side intern LRU's capacity per slot: beyond that the
-        # worker has evicted the graph anyway, so remembering it here
-        # would be pure memory cost answered by NEEDS_GRAPH resends.
-        self._ship_lock = threading.Lock()
-        self._shipped: dict[int, "OrderedDict[str, None]"] = {}
+        # worker has evicted the graph anyway.
+        pool = self.scheduler.process_pool
+        self._shipped = [
+            ShippedLRU(WORKER_GRAPH_CAP)
+            for _ in range(0 if pool is None else pool.n_slots)
+        ]
         # session failover persistence (see repro.service.persistence):
         # snapshot on every session commit, restore what the store holds
         # before taking traffic — a restarted shard resumes its sessions
@@ -296,10 +303,7 @@ class PartitionService:
             "service.submit", parent=ctx, attrs={"endpoint": endpoint}
         )
         try:
-            digest, graph = self.store.graphs.intern(request.graph)
-            request = _with_graph(request, graph)
-            key = request_key(request, digest=digest)
-            result = self.store.lookup_result(key)
+            request, digest, key, result = self._lookup(request)
             if result is None:
                 # the leader's job publishes (cache + warm seed) *before*
                 # the scheduler drops its in-flight entry, so a same-key
@@ -370,10 +374,7 @@ class PartitionService:
         prepared: list[Optional[tuple[Request, str, str]]] = [None] * len(requests)
         for i, request in enumerate(requests):
             item_t0 = time.perf_counter()
-            digest, graph = self.store.graphs.intern(request.graph)
-            request = _with_graph(request, graph)
-            key = request_key(request, digest=digest)
-            cached = self.store.lookup_result(key)
+            request, digest, key, cached = self._lookup(request)
             if cached is not None:
                 cached.latency_s = time.perf_counter() - item_t0
                 cached.request_key = key
@@ -447,6 +448,37 @@ class PartitionService:
                 for i, future in futures.items():
                     results[i] = future.result()
         return results  # type: ignore[return-value]
+
+    def _lookup(
+        self, request: Request
+    ) -> tuple[Request, str, str, Optional[JobResult]]:
+        """``(request, digest, key, cached result or None)``.
+
+        A graph-bearing request interns its graph, then looks up its
+        answer.  A digest-only request looks up its answer by digest
+        alone; only a miss resolves the digest against the graph store,
+        and a graph that is not resident raises :class:`NeedsGraph`.
+        The returned request always carries the resident graph unless
+        the answer was cached."""
+        if request.graph is None:
+            digest = request.graph_digest
+            key = request_key(request, digest=digest)
+            cached = self.store.lookup_result(key)
+            if cached is None:
+                graph = self.store.graphs.lookup(digest)
+                if graph is None:
+                    raise NeedsGraph(
+                        f"graph {digest} is not held here; resend the "
+                        "request with its graph"
+                    )
+                request = dataclasses.replace(
+                    request, graph=graph, graph_digest=None
+                )
+            return request, digest, key, cached
+        digest, graph = self.store.graphs.intern(request.graph)
+        request = _with_graph(request, graph)
+        key = request_key(request, digest=digest)
+        return request, digest, key, self.store.lookup_result(key)
 
     # ------------------------------------------------------------------
     # sessions
@@ -827,24 +859,6 @@ class PartitionService:
             return None
         return config
 
-    def _was_shipped(self, slot: int, digest: str) -> bool:
-        with self._ship_lock:
-            per_slot = self._shipped.get(slot)
-            if per_slot is None or digest not in per_slot:
-                return False
-            per_slot.move_to_end(digest)
-            return True
-
-    def _mark_shipped(self, slot: int, digest: str) -> None:
-        from .procexec import WORKER_GRAPH_CAP
-
-        with self._ship_lock:
-            per_slot = self._shipped.setdefault(slot, OrderedDict())
-            per_slot[digest] = None
-            per_slot.move_to_end(digest)
-            while len(per_slot) > WORKER_GRAPH_CAP:
-                per_slot.popitem(last=False)
-
     def _observe_request(self, endpoint: str, latency_s: float) -> None:
         self.registry.inc("repro_requests_total", endpoint=endpoint)
         self.registry.observe(
@@ -888,7 +902,7 @@ class PartitionService:
         The graph's CSR arrays ship with the first job for this
         (slot, digest) pair; afterwards the digest alone travels.  A
         worker that lost the graph (restart, worker-side LRU eviction)
-        answers :data:`NEEDS_GRAPH` and the job is resent once with the
+        raises :class:`NeedsGraph` and the job is resent once with the
         arrays attached.
         """
         pool = self.scheduler.process_pool
@@ -907,14 +921,11 @@ class PartitionService:
             seed_assignment = self.store.graphs.warm_seed(
                 digest, request.n_parts, request.fitness_kind
             )
-        arrays = (
-            None
-            if self._was_shipped(slot, digest)
-            else graph_to_arrays(request.graph)
-        )
+        shipped = self._shipped[slot]
         config_kwargs = dataclasses.asdict(config)
-        with exec_span:
-            out = pool.submit(
+
+        def run(arrays):
+            return pool.submit(
                 digest,
                 run_partition_job,
                 digest,
@@ -926,20 +937,17 @@ class PartitionService:
                 seed_assignment,
                 *extra,
             ).result()
-            if isinstance(out, str) and out == NEEDS_GRAPH:
-                out = pool.submit(
-                    digest,
-                    run_partition_job,
-                    digest,
-                    graph_to_arrays(request.graph),
-                    request.n_parts,
-                    request.fitness_kind,
-                    config_kwargs,
-                    request.seed,
-                    seed_assignment,
-                    *extra,
-                ).result()
-            self._mark_shipped(slot, digest)
+
+        with exec_span:
+            try:
+                out = run(
+                    None
+                    if shipped.seen(digest)
+                    else graph_to_arrays(request.graph)
+                )
+            except NeedsGraph:
+                out = run(graph_to_arrays(request.graph))
+            shipped.mark(digest)
             if isinstance(out, tuple) and len(out) == 3:
                 assignment, fitness, worker_spans = out
             else:

@@ -66,6 +66,7 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    409: "Conflict",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",

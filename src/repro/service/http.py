@@ -10,7 +10,13 @@ keep-alive connections with pipelined in-flight requests (see
 ====================  ======  =========================================
 path                  method  body / response
 ====================  ======  =========================================
-``/v1/partition``     POST    :class:`PartitionRequest` payload → result
+``/v1/partition``     POST    :class:`PartitionRequest` payload → result;
+                              the payload carries ``graph`` or, for a
+                              graph this server already received,
+                              ``graph_digest`` (32 lowercase hex) —
+                              ``409 {"needs_graph": true}`` when the
+                              server holds neither the answer nor the
+                              graph: resend with ``graph``
 ``/v1/refine``        POST    :class:`RefineRequest` payload → result
 ``/v1/session/open``  POST    ``{graph, n_parts, fitness_kind, seed,
                               ga}`` → result with ``session_id``
@@ -34,9 +40,11 @@ path                  method  body / response
 
 Malformed payloads (bad JSON, bad graph bytes, invalid parameters)
 answer ``400`` with ``{"error": ...}``; unknown paths ``404``; unknown
-sessions ``404``; oversized bodies ``413``.  Library errors never leak
-tracebacks to the wire.  ``/v1/admin/ring`` against an unsharded
-service answers ``404`` — a bare :class:`PartitionService` has no ring.
+sessions ``404``; oversized bodies ``413``; a digest-only partition
+whose graph is not held ``409``; a shard that died mid-call ``503``.
+Library errors never leak tracebacks to the wire.  ``/v1/admin/ring``
+against an unsharded service answers ``404`` — a bare
+:class:`PartitionService` has no ring.
 
 Admin example — grow a local fleet from 2 to 4 shards, live::
 
@@ -50,7 +58,7 @@ import json
 import threading
 from typing import Optional, Sequence
 
-from ..errors import ReproError, ServiceError, ShardDiedError
+from ..errors import NeedsGraph, ReproError, ServiceError, ShardDiedError
 from .core import PartitionService
 from .models import (
     PartitionRequest,
@@ -181,6 +189,9 @@ def dispatch_request(
         return _json_response(404, {"error": f"unknown path {target}"})
     except _HTTPError as exc:
         return _json_response(exc.status, {"error": exc.message})
+    except NeedsGraph as exc:
+        # nothing was computed: the client resends with the graph
+        return _json_response(409, {"error": str(exc), "needs_graph": True})
     except ShardDiedError as exc:
         # a shard crash is the service's fault, not the request's:
         # answer 503 (retryable) so HTTP clients can distinguish

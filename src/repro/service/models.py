@@ -16,10 +16,21 @@ Graphs travel either as the JSON payload of
 as untrusted bytes over the endpoint and raise
 :class:`~repro.errors.GraphFormatError` with a precise message when
 malformed.
+
+A :class:`PartitionRequest` may instead name its graph by
+``graph_digest`` — the 32-hex :func:`~repro.service.cache.graph_digest`
+the service routes and caches by — when the caller already shipped the
+graph to that server.  The payload then carries ``"graph_digest"`` in
+place of ``"graph"``; a graph-bearing payload is unchanged.  A server
+that holds neither the answer nor the graph raises
+:class:`~repro.errors.NeedsGraph` and the caller resends with the
+graph.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -139,6 +150,18 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
+#: :func:`~repro.service.cache.graph_digest` output: blake2b-128, hex
+_DIGEST_RE = re.compile(r"[0-9a-f]{32}")
+
+
+def _check_digest(value) -> None:
+    if not isinstance(value, str) or _DIGEST_RE.fullmatch(value) is None:
+        raise ServiceError(
+            "graph_digest must be a string of 32 lowercase hex "
+            f"characters, got {value!r}"
+        )
+
+
 def _check_fitness(kind: str) -> str:
     if kind not in FITNESS_KINDS:
         raise ServiceError(
@@ -180,6 +203,11 @@ def _check_trace(trace: Optional[dict]) -> Optional[dict]:
 class PartitionRequest:
     """One-shot partition of ``graph`` into ``n_parts``.
 
+    Exactly one of ``graph`` and ``graph_digest`` is set: a digest-only
+    request (``PartitionRequest(None, k, graph_digest=d)``) names a
+    graph the server already holds, and is answered from its result
+    cache or its interned copy of that graph.
+
     ``method="portfolio"`` races DKNUX against the cheap baselines
     under ``time_budget`` seconds and returns the best result found.
     ``warm_start=True`` opts into seeding the GA from the service's
@@ -190,7 +218,7 @@ class PartitionRequest:
     ``ga`` holds :class:`~repro.ga.config.GAConfig` field overrides.
     """
 
-    graph: CSRGraph
+    graph: Optional[CSRGraph]
     n_parts: int
     fitness_kind: str = "fitness1"
     method: str = "dknux"
@@ -200,10 +228,19 @@ class PartitionRequest:
     ga: Optional[dict] = None
     #: optional trace context (observational-only; see _check_trace)
     trace: Optional[dict] = None
+    #: the graph's content digest, sent in place of the graph
+    graph_digest: Optional[str] = None
 
     kind = "partition"
 
     def __post_init__(self) -> None:
+        if (self.graph is None) == (self.graph_digest is None):
+            raise ServiceError(
+                "a partition request carries exactly one of graph or "
+                "graph_digest"
+            )
+        if self.graph_digest is not None:
+            _check_digest(self.graph_digest)
         _check_int(self.n_parts, "n_parts", 1)
         _check_int(self.seed, "seed", 0)  # numpy rngs reject negatives
         _check_fitness(self.fitness_kind)
@@ -218,17 +255,23 @@ class PartitionRequest:
                 raise ServiceError(
                     f"time_budget must be a number, got {self.time_budget!r}"
                 )
-            if self.time_budget <= 0:
+            # NaN would skip every leg's budget check as "exhausted", and
+            # Infinity would compute what None computes under another key
+            if not math.isfinite(self.time_budget) or self.time_budget <= 0:
                 raise ServiceError(
-                    f"time_budget must be positive, got {self.time_budget}"
+                    "time_budget must be positive and finite, got "
+                    f"{self.time_budget}"
                 )
         _check_ga_overrides(self.ga)
         object.__setattr__(self, "trace", _check_trace(self.trace))
 
     def to_payload(self, arrays=None) -> dict:
-        payload = {
-            "kind": self.kind,
-            "graph": graph_to_wire(self.graph, arrays=arrays),
+        payload = {"kind": self.kind}
+        if self.graph is None:
+            payload["graph_digest"] = self.graph_digest
+        else:
+            payload["graph"] = graph_to_wire(self.graph, arrays=arrays)
+        payload.update({
             "n_parts": int(self.n_parts),
             "fitness_kind": self.fitness_kind,
             "method": self.method,
@@ -236,15 +279,26 @@ class PartitionRequest:
             "warm_start": bool(self.warm_start),
             "time_budget": self.time_budget,
             "ga": self.ga,
-        }
+        })
         if self.trace is not None:  # absent key keeps wire bytes identical
             payload["trace"] = dict(self.trace)
         return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartitionRequest":
+        if isinstance(payload, dict) and "graph_digest" in payload:
+            if "graph" in payload:
+                raise ServiceError(
+                    "a partition request carries exactly one of graph or "
+                    "graph_digest, got both"
+                )
+            graph, digest = None, payload["graph_digest"]
+        else:
+            graph = graph_from_wire(_require(payload, "graph"))
+            digest = None
         return cls(
-            graph=graph_from_wire(_require(payload, "graph")),
+            graph=graph,
+            graph_digest=digest,
             n_parts=_check_int(_require(payload, "n_parts"), "n_parts", 1),
             fitness_kind=payload.get("fitness_kind", "fitness1"),
             method=payload.get("method", "dknux"),

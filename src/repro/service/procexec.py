@@ -17,10 +17,13 @@ The IPC cost model this module amortizes:
   unit-weight flags, like the parent's
   :class:`~repro.service.cache.GraphStore`) in a bounded worker-side
   LRU, and every later job carries the digest alone.  A worker that no
-  longer holds the digest (restart, LRU eviction) answers with
-  :data:`NEEDS_GRAPH` and the parent resends once with the arrays —
-  shipping is an optimization with a self-healing fallback, never a
-  protocol obligation.
+  longer holds the digest (restart, LRU eviction) raises
+  :class:`~repro.errors.NeedsGraph` and the parent resends once with
+  the arrays — shipping is an optimization with a self-healing
+  fallback, never a protocol obligation.  The parent's record of what
+  it shipped is a per-slot :class:`~repro.service.cache.ShippedLRU`,
+  the same helper :class:`~repro.service.client.HTTPServiceClient`
+  keeps for the digest-first HTTP requests it sends.
 * **Results travel as plain arrays.**  The worker returns the
   assignment plus its scalar metrics; the parent builds the
   :class:`~repro.service.models.JobResult` and publishes to its caches
@@ -39,19 +42,15 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import NeedsGraph
 from ..graphs.csr import CSRGraph
 
 __all__ = [
-    "NEEDS_GRAPH",
     "WORKER_GRAPH_CAP",
     "graph_to_arrays",
     "run_partition_job",
     "init_process_worker",
 ]
-
-#: sentinel returned by a worker that was handed a digest it does not
-#: hold; the parent retries once with the graph arrays attached
-NEEDS_GRAPH = "__needs_graph__"
 
 #: graphs each worker process keeps interned (LRU); paper-scale CSR
 #: builds are a few hundred KB, so even the cap is a modest footprint
@@ -112,9 +111,10 @@ def run_partition_job(
 ):
     """Execute one dknux run in the worker process.
 
-    Returns ``NEEDS_GRAPH`` when ``arrays`` is ``None`` and the digest
-    is not interned here, else ``(assignment, fitness)`` — the parent
-    rebuilds the partition metrics on its own interned graph instance.
+    Raises :class:`NeedsGraph` when ``arrays`` is ``None`` and the
+    digest is not interned here; else returns ``(assignment, fitness)``
+    — the parent rebuilds the partition metrics on its own interned
+    graph instance.
     When the parent ships a ``trace`` context the worker records its
     execution (including per-generation GA spans) and the return grows
     a third element with the finished span records; ``trace=None``
@@ -129,7 +129,7 @@ def run_partition_job(
 
     graph = _intern(digest, arrays)
     if graph is None:
-        return NEEDS_GRAPH
+        raise NeedsGraph(f"process worker does not hold graph {digest}")
     if trace is None:
         partition = partition_graph(
             graph,

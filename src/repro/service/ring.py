@@ -23,14 +23,15 @@ change at runtime:
   under its own fleet lock.
 
 **One-time migration from the ``% N`` layout.**  Epoch 0 of a
-width-N ring does *not* reproduce ``shard_for_digest(d, N)`` — a
-modulus layout cannot satisfy remap minimality, which is the entire
-point of this module.  The migration is a cold-cache event, not a
-correctness event: every shard runs identical service code, so routing
-decides only *which process computes*, never what is computed (the
-bit-identity suite covers any ring history).  ``shard_for_digest``
-remains exported for the pre-ring frozen tests and for external
-tooling that recorded the old layout.
+width-N ring does *not* reproduce the old ``blake2b(digest) % N``
+layout — a modulus layout cannot satisfy remap minimality, which is
+the entire point of this module.  The migration is a cold-cache event,
+not a correctness event: every shard runs identical service code, so
+routing decides only *which process computes*, never what is computed
+(the bit-identity suite covers any ring history).  The ``% N`` layout
+survives only as a reference in the tests
+(``tests/shard_reference.py``), which pin it and compare the ring
+against it.
 
 The ring protocol is versioned (:data:`RING_PROTOCOL_VERSION`): every
 shard reports its version in the answer to the ``ping`` verb, and a
@@ -69,7 +70,7 @@ _SPACE = 1 << 64
 
 def ring_point(token: str) -> int:
     """A token's position on the 64-bit ring (pure function: the same
-    point in every process and across runs, like ``shard_for_digest``)."""
+    point in every process and across runs)."""
     raw = hashlib.blake2b(token.encode(), digest_size=8).digest()
     return int.from_bytes(raw, "big")
 

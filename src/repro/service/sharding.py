@@ -15,9 +15,12 @@ ring (:mod:`repro.service.ring`, PR 10)::
 Routing by content digest is what keeps the per-shard caches as
 effective as a single process's: a given graph always lands on the
 same shard, so its interned CSR build, cached results, and warm seeds
-concentrate there instead of being diluted across workers.  Sessions
-are routed by the digest of their opening graph and then stick to
-their shard by session id.
+concentrate there instead of being diluted across workers.  A
+digest-only partition request routes by the digest it names, so it
+reaches the shard that interned its graph; a shard that does not hold
+the graph raises :class:`~repro.errors.NeedsGraph` back through the
+front.  Sessions are routed by the digest of their opening graph and
+then stick to their shard by session id.
 
 Elastic fleet (PR 10): because the ring is an explicit, epoch-numbered
 topology instead of ``% N``, membership can change at runtime:
@@ -86,7 +89,6 @@ processes.  A standalone :class:`ShardServer` has no such constraint.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -121,7 +123,6 @@ from .transport import (
 __all__ = [
     "ShardedPartitionService",
     "ShardServer",
-    "shard_for_digest",
 ]
 
 _LOG = get_logger("service.sharding")
@@ -164,22 +165,6 @@ def _merge_stats_into(target: dict, row: dict) -> None:
             target[key] = max(target.get(key, value), value)
         else:
             target[key] = target.get(key, 0) + value
-
-
-def shard_for_digest(digest: str, n_shards: int) -> int:
-    """Stable digest → shard index (same mapping in every process and
-    across runs: a pure function of the content digest).
-
-    This is the PR-4 ``% N`` layout, kept as the frozen reference
-    (``tests/test_sharding.py`` pins it).  Live routing moved to the
-    consistent-hash ring in PR 10 — see :mod:`repro.service.ring` for
-    why the two layouts intentionally differ (a one-time migration:
-    ``% N`` cannot be remap-minimal) and why that is safe (every shard
-    computes identical bits)."""
-    if n_shards < 1:
-        raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
-    raw = hashlib.blake2b(digest.encode(), digest_size=8).digest()
-    return int.from_bytes(raw, "big") % n_shards
 
 
 # ----------------------------------------------------------------------
@@ -1172,6 +1157,13 @@ class ShardedPartitionService:
         *and* across shard restarts, for a given ring epoch)."""
         return self.ring.owner(graph_digest(graph))
 
+    def _route(self, request) -> int:
+        """The shard a request routes to: a digest-only request names
+        its digest, any other request carries its graph."""
+        if request.graph is None:
+            return self.ring.owner(request.graph_digest)
+        return self.shard_of(request.graph)
+
     def _mark(self, result: JobResult, shard: int) -> JobResult:
         result.shard = shard
         return result
@@ -1179,7 +1171,7 @@ class ShardedPartitionService:
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
         self._check_open()
-        shard = self.shard_of(request.graph)
+        shard = self._route(request)
         span = self.tracer.start(
             "front.submit", parent=request.trace,
             attrs={"endpoint": "partition", "shard": shard},
@@ -1195,7 +1187,7 @@ class ShardedPartitionService:
         self._check_open()
         by_shard: dict[int, list[int]] = {}
         for i, request in enumerate(requests):
-            by_shard.setdefault(self.shard_of(request.graph), []).append(i)
+            by_shard.setdefault(self._route(request), []).append(i)
         results: list[Optional[JobResult]] = [None] * len(requests)
 
         span = self.tracer.start(

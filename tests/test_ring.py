@@ -20,9 +20,10 @@ from repro.service import (
     RING_PROTOCOL_VERSION,
     HashRing,
     RingVersion,
-    shard_for_digest,
 )
 from repro.service.ring import ring_point
+
+from shard_reference import shard_for_digest
 
 
 def _digests(count: int) -> list[str]:
@@ -126,8 +127,8 @@ def test_frozen_epoch0_layout():
     ``shard_for_digest("deadbeef", 4) == 1`` while the ring owner is 3.
     That one-time migration is a cold-cache event only: routing picks
     which process computes, never what is computed, and
-    ``shard_for_digest`` stays exported (and frozen in
-    test_sharding.py) as the pre-ring reference.
+    ``shard_for_digest`` stays in the tests (``shard_reference.py``,
+    frozen in test_sharding.py) as the pre-ring reference.
     """
     assert HashRing(4).owner("deadbeef") == 3
     assert HashRing(2).owner("deadbeef") == 0

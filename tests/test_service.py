@@ -4,8 +4,9 @@ Covers the tentpole's contracts: the JSON request/response model,
 content-addressed caching (hit/miss/eviction, graph interning, warm
 seeds), request coalescing (in-flight join and batched refine, both
 bit-identical to serial submission), streaming incremental sessions
-(including concurrent ones), the method portfolio, and an end-to-end
-HTTP smoke test replaying a workloads-derived mixed trace.
+(including concurrent ones), the method portfolio, digest-first
+partition requests, and an end-to-end HTTP smoke test replaying a
+workloads-derived mixed trace.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from repro import partition_graph
 from repro.analysis import LockWitness, WitnessViolation, extract_lock_graph
-from repro.errors import GraphFormatError, ServiceError
+from repro.errors import GraphFormatError, NeedsGraph, ServiceError
 from repro.ga.config import GAConfig
 from repro.graphs import mesh_graph
 from repro.incremental.partitioner import IncrementalGAPartitioner
@@ -32,6 +33,7 @@ from repro.service import (
     RefineRequest,
     ServiceClient,
     UpdateRequest,
+    dispatch_request,
     graph_digest,
     graph_from_wire,
     graph_to_wire,
@@ -80,6 +82,26 @@ class TestModels:
         assert (back.n_parts, back.fitness_kind, back.method, back.seed) == (
             4, "fitness2", "greedy", 7)
         assert back.ga == GA
+
+    def test_digest_only_request_roundtrip(self, graph):
+        """A digest-only request puts ``graph_digest`` where a
+        graph-bearing one puts ``graph``; the graph-bearing payload
+        keeps its key order and gains no key."""
+        digest = graph_digest(graph)
+        req = PartitionRequest(None, 4, seed=7, ga=GA, graph_digest=digest)
+        payload = req.to_payload()
+        assert "graph" not in payload and payload["graph_digest"] == digest
+        back = PartitionRequest.from_payload(json.loads(json.dumps(payload)))
+        assert back.graph is None and back.graph_digest == digest
+        assert (back.n_parts, back.seed, back.ga) == (4, 7, GA)
+        assert list(PartitionRequest(graph, 4).to_payload()) == [
+            "kind", "graph", "n_parts", "fitness_kind", "method", "seed",
+            "warm_start", "time_budget", "ga",
+        ]
+        with pytest.raises(ServiceError, match="exactly one"):
+            PartitionRequest(graph, 4, graph_digest=digest)
+        with pytest.raises(ServiceError, match="exactly one"):
+            PartitionRequest(None, 4)
 
     def test_refine_request_roundtrip(self, graph, rng):
         a = rng.integers(0, 3, graph.n_nodes)
@@ -219,6 +241,47 @@ class TestCache:
         assert store.store_seed_if_better("d", 2, "fitness1", b, -5.0)
         assert np.array_equal(store.warm_seed("d", 2, "fitness1"), b)
 
+    def test_shipped_lru_stays_bounded_under_contention(self):
+        """Threads marking and probing one ShippedLRU never push it
+        past its capacity, and afterwards exactly ``capacity`` of the
+        marked digests are found."""
+        import sys
+
+        from repro.service.cache import ShippedLRU
+
+        shipped = ShippedLRU(16)
+        errors = []
+
+        def churn(t: int) -> None:
+            try:
+                for i in range(20000):
+                    shipped.mark(f"{t}-{i % 40}")
+                    shipped.seen(f"{(t + 1) % 8}-{i % 40}")
+                    if len(shipped) > 16:
+                        errors.append(len(shipped))
+                shipped.mark(f"{t}-last")
+            except Exception as exc:  # noqa: BLE001 - recorded for assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(t,)) for t in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(shipped) == 16
+        marked = [f"{t}-{i}" for t in range(8) for i in range(40)]
+        marked += [f"{t}-last" for t in range(8)]
+        assert sum(shipped.seen(d) for d in marked) == 16
+
     def test_graph_digest_is_content_identity(self, graph):
         twin = mesh_graph(48, seed=3)
         other = mesh_graph(48, seed=4)
@@ -261,6 +324,59 @@ class TestCache:
         config = GAConfig(**{**DEFAULT_GA_OVERRIDES, **GA})
         cold = partition_graph(graph, 4, config=config, seed=5)
         assert np.array_equal(result.assignment, cold.assignment)
+
+
+# ----------------------------------------------------------------------
+# digest-first requests
+# ----------------------------------------------------------------------
+
+class TestDigestFirst:
+    def test_hit_needs_no_graph(self, service, graph):
+        """A digest-only repeat is answered from the result cache
+        without touching the graph store."""
+        first = service.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+        graphs = service.store.graphs.stats()
+        again = service.submit(PartitionRequest(
+            None, 4, seed=0, ga=GA, graph_digest=graph_digest(graph)
+        ))
+        assert again.cache_hit
+        assert again.request_key == first.request_key
+        assert np.array_equal(again.assignment, first.assignment)
+        assert service.store.graphs.stats() == graphs
+
+    def test_miss_computes_on_the_resident_graph(self, service, graph):
+        """A digest-only miss computes on the interned graph, and the
+        answer equals the graph-bearing one — through submit and
+        through submit_many."""
+        service.submit(PartitionRequest(graph, 4, method="greedy"))
+        digest = graph_digest(graph)
+        got = service.submit(
+            PartitionRequest(None, 4, seed=5, ga=GA, graph_digest=digest)
+        )
+        batch = service.submit_many([
+            PartitionRequest(None, 4, seed=6, ga=GA, graph_digest=digest),
+            PartitionRequest(None, 4, seed=5, ga=GA, graph_digest=digest),
+        ])
+        assert not got.cache_hit and batch[1].cache_hit
+        with PartitionService(n_workers=1) as ref:
+            want = [
+                ref.submit(PartitionRequest(graph, 4, seed=s, ga=GA))
+                for s in (5, 6)
+            ]
+        for a, b in zip([got, batch[0]], want):
+            assert np.array_equal(a.assignment, b.assignment)
+            assert (a.cut_size, a.fitness) == (b.cut_size, b.fitness)
+
+    def test_unknown_graph_raises_before_any_work(self, service, graph):
+        request = PartitionRequest(
+            None, 4, seed=0, ga=GA, graph_digest=graph_digest(graph)
+        )
+        with pytest.raises(NeedsGraph, match="resend"):
+            service.submit(request)
+        with pytest.raises(NeedsGraph):
+            service.submit_many([request])
+        assert service.scheduler.stats()["jobs_executed"] == 0
+        assert service.store.graphs.stats()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -813,6 +929,59 @@ class TestServiceLifecycle:
 # HTTP end-to-end
 # ----------------------------------------------------------------------
 
+#: JSON numbers a partition request must refuse with 400: GA overrides
+#: that are not integers or not finite, and non-finite time budgets
+BAD_NUMBERS = {
+    "max_generations=2.5": {"ga": {"max_generations": 2.5}},
+    "max_generations=NaN": {"ga": {"max_generations": float("nan")}},
+    "tournament_size=NaN": {"ga": {"tournament_size": float("nan")}},
+    "hill_climb_passes=NaN": {"ga": {"hill_climb_passes": float("nan")}},
+    "eval_memo=NaN": {"ga": {"eval_memo": float("nan")}},
+    "patience=NaN": {"ga": {"patience": float("nan")}},
+    "hill_climb_passes=true": {"ga": {"hill_climb_passes": True}},
+    "time_budget=NaN": {"method": "portfolio", "time_budget": float("nan")},
+    "time_budget=Infinity": {
+        "method": "portfolio", "time_budget": float("inf"),
+    },
+}
+
+#: malformed ways to name a graph by digest
+BAD_DIGESTS = {
+    "wrong-length": {"graph_digest": "ab" * 15},
+    "uppercase": {"graph_digest": "AB" * 16},
+    "non-hex": {"graph_digest": "zz" * 16},
+    "non-string": {"graph_digest": int("ab" * 16, 16)},
+    "both": {"graph_digest": "ab" * 16, "graph": "<graph>"},
+    "neither": {},
+}
+
+
+def _post_partition(service, payload: dict) -> tuple[int, dict]:
+    status, _, body = dispatch_request(
+        service, "POST", "/v1/partition", json.dumps(payload).encode()
+    )
+    return status, json.loads(body)
+
+
+class TestDispatchValidation:
+    @pytest.mark.parametrize("case", list(BAD_NUMBERS))
+    def test_bad_numbers_answer_400(self, service, graph, case):
+        status, body = _post_partition(
+            service,
+            {"graph": graph_to_wire(graph), "n_parts": 4, **BAD_NUMBERS[case]},
+        )
+        assert status == 400, body
+
+    @pytest.mark.parametrize("case", list(BAD_DIGESTS))
+    def test_malformed_digest_answers_400(self, service, graph, case):
+        fields = dict(BAD_DIGESTS[case])
+        if "graph" in fields:
+            fields["graph"] = graph_to_wire(graph)
+        status, body = _post_partition(service, {"n_parts": 4, **fields})
+        assert status == 400, body
+        assert "needs_graph" not in body
+
+
 @pytest.fixture(scope="module")
 def http_client():
     server = serve(port=0, background=True, n_workers=2)
@@ -842,6 +1011,27 @@ class TestHTTP:
         with pytest.raises(ServiceError, match="HTTP 404"):
             http_client._call("/v1/nope", {})
 
+    def test_unknown_digest_answers_409(self, http_client):
+        """A digest the server never received: 409 "Conflict" with
+        ``needs_graph``, on the raw wire."""
+        import http.client
+
+        conn = http.client.HTTPConnection(
+            http_client._host, http_client._port, timeout=30
+        )
+        try:
+            conn.request(
+                "POST", "/v1/partition",
+                json.dumps({"graph_digest": "0" * 32, "n_parts": 2}),
+                {"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert (resp.status, resp.reason) == (409, "Conflict")
+        assert body["needs_graph"] is True
+
     def test_bad_content_length_is_400(self, http_client):
         import urllib.error
         import urllib.request
@@ -857,10 +1047,12 @@ class TestHTTP:
             urllib.request.urlopen(request, timeout=30)
         assert exc.value.code == 400
 
-    def test_trace_replay_smoke(self, http_client):
+    def test_trace_replay_smoke(self, http_client, monkeypatch):
         """End-to-end: a workloads-derived mixed trace (one-shot,
-        repeated, and incremental-session requests) over real HTTP."""
+        repeated, and incremental-session requests) over real HTTP,
+        then a digest-only pass over its partitions."""
         from repro.experiments import replay_trace, service_trace
+        from repro.experiments.workloads import workload
 
         trace = service_trace(n_requests=12, seed=1, n_parts=4, ga=GA)
         ops = {op["op"] for op in trace}
@@ -874,3 +1066,34 @@ class TestHTTP:
         assert stats["latency"]["count"] >= 1
         assert stats["cache"]["results"]["hits"] >= 1
         assert stats["sessions"]["updates"] >= 1
+
+        # digest-only pass: the replay shipped every graph, so the
+        # client now names each by digest.  The trace's own seeds hit
+        # the cache; shifted seeds compute on the server's interned
+        # graph and must equal a graph-bearing in-process run.
+        bodies = []
+        send = http_client._request
+
+        def recording(method, path, body, headers):
+            bodies.append(json.loads(body))
+            return send(method, path, body, headers)
+
+        monkeypatch.setattr(http_client, "_request", recording)
+        with PartitionService(n_workers=1) as ref:
+            for op, replayed in results:
+                if op["op"] != "partition":
+                    continue
+                graph, k = workload(op["size"]), op["n_parts"]
+                hit = http_client.partition(
+                    graph, k, seed=op["seed"], ga=op.get("ga")
+                )
+                assert hit.cache_hit
+                assert np.array_equal(hit.assignment, replayed.assignment)
+                kwargs = dict(seed=op["seed"] + 1000, ga=op.get("ga"))
+                got = http_client.partition(graph, k, **kwargs)
+                want = ref.submit(PartitionRequest(graph, k, **kwargs))
+                assert np.array_equal(got.assignment, want.assignment)
+                assert (got.cut_size, got.fitness) == (
+                    want.cut_size, want.fitness)
+        assert bodies
+        assert all("graph" not in b and "graph_digest" in b for b in bodies)

@@ -6,12 +6,15 @@ lane (cost-model routing, graph shipping, bit-identity with the
 thread lane), the sharded front's lifecycle/error behavior, (PR 5)
 the fault-tolerant fleet: socket-vs-pipe transport equivalence,
 shard-death fail-fast, supervised restart with session failover
-bit-identity, the exception round-trip hardening, and (PR 10) the
-elastic fleet: live resize with session/warm-result handoff, dead
-shards serving degraded out of the ring with zero lost answers,
-probe-driven eject/readmit, and the ``/v1/admin/ring`` endpoint.
+bit-identity, the exception round-trip hardening, the elastic
+fleet: live resize with session/warm-result handoff, dead shards
+serving degraded out of the ring with zero lost answers, probe-driven
+eject/readmit, and the ``/v1/admin/ring`` endpoint, and digest-first
+partition requests recovering from a lost graph with one 409 and a
+resend.
 """
 
+import json
 import threading
 import time
 from pathlib import Path
@@ -20,9 +23,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import LockWitness, extract_lock_graph
-from repro.errors import ServiceError, ShardDiedError
+from repro.errors import NeedsGraph, ServiceError, ShardDiedError
 from repro.incremental.partitioner import IncrementalGAPartitioner
 from repro.experiments import replay_trace, service_trace
+from repro.experiments.workloads import workload
 from repro.graphs import mesh_graph
 from repro.incremental.updates import insert_local_nodes
 from repro.service import (
@@ -34,8 +38,9 @@ from repro.service import (
     ShardedPartitionService,
     UpdateRequest,
     graph_digest,
-    shard_for_digest,
 )
+
+from shard_reference import shard_for_digest
 
 #: tiny GA budget — these tests exercise the serving layer, not search
 GA = dict(population_size=12, max_generations=6, patience=3)
@@ -128,14 +133,21 @@ class TestShardedService:
             PartitionRequest(graph, 4, method="greedy"),
             PartitionRequest(other, 4, method="greedy"),
             PartitionRequest(graph, 4, method="random", seed=1),
+            # routed by its digest to the shard the batch ships other to
+            PartitionRequest(None, 4, method="random", seed=2,
+                             graph_digest=graph_digest(other)),
         ]
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
             out = svc.submit_many(requests)
-            assert [r.method for r in out] == ["greedy", "greedy", "random"]
+            assert [r.method for r in out] == [
+                "greedy", "greedy", "random", "random"]
             assert out[0].shard == svc.shard_of(graph)
-            assert out[1].shard == svc.shard_of(other)
+            assert out[1].shard == out[3].shard == svc.shard_of(other)
         with PartitionService(n_workers=1) as single:
-            ref = [single.submit(r) for r in requests]
+            ref = [single.submit(r) for r in requests[:3]]
+            ref.append(single.submit(
+                PartitionRequest(other, 4, method="random", seed=2)
+            ))
         for a, b in zip(out, ref):
             assert np.array_equal(a.assignment, b.assignment)
 
@@ -221,6 +233,31 @@ def _frame(message) -> bytes:
     return b"".join(bytes(memoryview(s)) for s in segments)[1:]
 
 
+def _digest_ops(trace):
+    """``(op, request fields)`` for each partition op of ``trace``, at
+    a seed no op of the trace uses."""
+    return [
+        (op, dict(n_parts=op["n_parts"], seed=op["seed"] + 1000,
+                  ga=op.get("ga")))
+        for op in trace
+        if op["op"] == "partition"
+    ]
+
+
+def _digest_pass(service, trace) -> list:
+    """Submit each of ``_digest_ops(trace)`` naming its graph by digest
+    (the replay already shipped every graph).  A digest the fleet never
+    received must come back as NeedsGraph across the shard lane."""
+    with pytest.raises(NeedsGraph):
+        service.submit(PartitionRequest(None, 2, graph_digest="0" * 32))
+    return [
+        service.submit(PartitionRequest(
+            None, graph_digest=graph_digest(workload(op["size"])), **kw
+        ))
+        for op, kw in _digest_ops(trace)
+    ]
+
+
 class TestSocketTransport:
     def test_message_codec_roundtrip(self, graph):
         """The binary frame codec round-trips the multiplexer message
@@ -245,6 +282,15 @@ class TestSocketTransport:
         assert isinstance(payload, ShardDiedError)
         assert "gone" in str(payload)
 
+        digest = graph_digest(graph)
+        msg = _roundtrip((8, "submit", (
+            PartitionRequest(None, 4, seed=3, ga=GA, graph_digest=digest),
+        )))
+        back = msg[2][0]
+        assert back.graph is None and back.graph_digest == digest
+        _, _, payload = _roundtrip((2, False, NeedsGraph("lost")))
+        assert type(payload) is NeedsGraph and "lost" in str(payload)
+
     def test_unknown_error_type_degrades_to_service_error(self):
         from repro.service.models import error_from_wire
 
@@ -264,7 +310,9 @@ class TestSocketTransport:
     def test_socket_vs_pipe_trace_bit_identical(self):
         """Transport equivalence: the same mixed trace answers with
         bit-identical assignments over socket-attached shard servers
-        and over local pipe shards."""
+        and over local pipe shards; then a digest-only pass over the
+        trace's partitions answers identically on both, and equal to
+        graph-bearing requests to one process."""
         trace = service_trace(n_requests=8, seed=5, n_parts=4, ga=GA)
         servers = [ShardServer(n_workers=2).start() for _ in range(2)]
         try:
@@ -273,9 +321,11 @@ class TestSocketTransport:
             )
             with ServiceClient(service=front) as client:
                 socket_results = replay_trace(client, trace)
+                socket_digest = _digest_pass(front, trace)
             front.close()
             with ServiceClient(shards=2, n_workers=2) as client:
                 pipe_results = replay_trace(client, trace)
+                pipe_digest = _digest_pass(client.service, trace)
         finally:
             for server in servers:
                 server.close()
@@ -286,6 +336,17 @@ class TestSocketTransport:
                 assert np.array_equal(res_a.assignment, res_b.assignment)
                 assert res_a.cut_size == res_b.cut_size
                 assert res_a.fitness == res_b.fitness
+        with PartitionService(n_workers=1) as single:
+            reference = [
+                single.submit(PartitionRequest(workload(op["size"]), **kw))
+                for op, kw in _digest_ops(trace)
+            ]
+        assert socket_digest and len(socket_digest) == len(reference)
+        for a, b, ref in zip(socket_digest, pipe_digest, reference):
+            for got in (a, b):
+                assert np.array_equal(got.assignment, ref.assignment)
+                assert (got.cut_size, got.fitness) == (
+                    ref.cut_size, ref.fitness)
 
     def test_shard_server_outlives_front(self, graph):
         """Detaching a front is not a shard death: the server keeps its
@@ -357,10 +418,15 @@ class TestBinaryFrames:
         req = PartitionRequest(graph, 4, seed=3, ga=GA)
         with PartitionService(n_workers=1) as svc:
             result = svc.submit(PartitionRequest(graph, 4, method="greedy"))
+        digest_only = PartitionRequest(
+            None, 4, seed=3, ga=GA, graph_digest=graph_digest(graph)
+        )
         for message in (
             (7, "submit", (req,)),
+            (8, "submit", (digest_only,)),
             (9, True, result),
             (1, False, ShardDiedError("gone")),
+            (3, False, NeedsGraph("lost")),
             (2, "stats", ()),
         ):
             assert _frame(_roundtrip(message)) == _frame(message)
@@ -470,6 +536,32 @@ class TestBinaryFrames:
             assert np.array_equal(
                 m1[2][0].graph.edge_weights, m2[2][0].graph.edge_weights
             )
+        finally:
+            ta.close()
+            tb.close()
+
+    def test_pipe_lane_carries_digest_only_requests(self, graph):
+        """A request without a graph sizes to zero array bytes (the
+        shared-memory threshold never fires) and arrives with its
+        digest; NeedsGraph crosses as its own type."""
+        import multiprocessing as mp
+
+        from repro.service.sharding import _safe_exception
+        from repro.service.transport import PipeTransport, _array_nbytes
+
+        req = PartitionRequest(
+            None, 4, seed=3, ga=GA, graph_digest=graph_digest(graph)
+        )
+        assert _array_nbytes((1, "submit", (req,))) == 0
+        left, right = mp.Pipe()
+        ta, tb = PipeTransport(left), PipeTransport(right)
+        try:
+            ta.shm_threshold = 1
+            ta.send((1, "submit", (req,)))
+            ta.send((2, False, _safe_exception(NeedsGraph("lost"))))
+            assert tb.recv()[2][0] == req
+            _, ok, exc = tb.recv()
+            assert not ok and type(exc) is NeedsGraph
         finally:
             ta.close()
             tb.close()
@@ -733,7 +825,7 @@ class TestFailover:
             assert _wait_for(
                 lambda: svc.shard_health()[shard]["state"] == "down"
             )
-            with pytest.raises(ServiceError, match="HTTP 503"):
+            with pytest.raises(ShardDiedError, match="HTTP 503"):
                 client.partition(graph, 4, method="greedy")
         finally:
             svc.close()
@@ -1041,6 +1133,163 @@ class TestElasticFleet:
 
 
 # ----------------------------------------------------------------------
+# digest-first requests: a lost graph costs one 409 and a resend
+# ----------------------------------------------------------------------
+
+def _record_sends(client) -> list:
+    """Wrap ``client``'s transport; each request it sends appends
+    ``(HTTP status, whether the body carried a graph)``."""
+    sends = []
+    send = client._request
+
+    def recording(method, path, body, headers):
+        status, data = send(method, path, body, headers)
+        sends.append((status, "graph" in json.loads(body)))
+        return status, data
+
+    client._request = recording
+    return sends
+
+
+class _ShardDiesOnDigest(ShardedPartitionService):
+    """Fault injection: the first digest-only request kills its holder
+    shard and, once the front has seen the death, fails as a call in
+    flight on that shard does."""
+
+    died = False
+
+    def submit(self, request):
+        if request.graph is None and not self.died:
+            self.died = True
+            shard = self._route(request)
+            handle = self._slots[shard].handle
+            handle.process.kill()
+            handle._reader.join(timeout=30.0)  # the death path has run
+            raise ShardDiedError(
+                f"shard {shard} died with the request in flight"
+            )
+        return super().submit(request)
+
+
+class TestDigestFirst:
+    def _serve(self, service=None, **kwargs):
+        from repro.service import HTTPServiceClient, serve
+
+        server = serve(port=0, background=True, service=service, **kwargs)
+        host, port = server.server_address
+        return server, HTTPServiceClient(
+            f"http://{host}:{port}", timeout=120.0
+        )
+
+    @staticmethod
+    def _stop(server, client) -> None:
+        client.close()
+        server.service.close()
+        server.shutdown()
+        server.server_close()
+
+    @staticmethod
+    def _reference(graph, **kwargs):
+        with PartitionService(n_workers=1) as single:
+            return single.submit(PartitionRequest(graph, 4, **kwargs))
+
+    def _assert_same(self, got, graph, **kwargs) -> None:
+        want = self._reference(graph, **kwargs)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert (got.cut_size, got.fitness) == (want.cut_size, want.fitness)
+
+    def test_restarted_holder_shard(self, graph):
+        server, client = self._serve(shards=2, n_workers=1)
+        try:
+            svc = server.service
+            client.partition(graph, 4, seed=0, ga=GA)  # ships the graph
+            shard = svc.shard_of(graph)
+            svc._slots[shard].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[shard]["state"] == "up"
+                and svc.shard_health()[shard]["restarts"] == 1
+            )
+            sends = _record_sends(client)
+            got = client.partition(graph, 4, seed=1, ga=GA)
+            assert sends == [(409, False), (200, True)]
+            assert got.shard == shard
+            self._assert_same(got, graph, seed=1, ga=GA)
+        finally:
+            self._stop(server, client)
+
+    def test_ring_grow_moved_digest(self):
+        """After a 2 → 4 grow moves a digest to a new owner, its
+        journal-warmed answer is still a digest-only hit, and a new
+        request for it costs one 409."""
+        from repro.service import HashRing
+
+        graph = next(
+            g for g in (mesh_graph(40, seed=s) for s in range(100))
+            if HashRing(2).owner(graph_digest(g))
+            != HashRing(4).owner(graph_digest(g))
+        )
+        server, client = self._serve(shards=2, n_workers=1)
+        try:
+            svc = server.service
+            first = client.partition(graph, 4, seed=0, ga=GA)
+            client.ring_resize(4)
+            assert svc.shard_of(graph) != first.shard
+            sends = _record_sends(client)
+            hit = client.partition(graph, 4, seed=0, ga=GA)
+            assert hit.cache_hit and hit.shard == svc.shard_of(graph)
+            assert np.array_equal(hit.assignment, first.assignment)
+            assert sends == [(200, False)]
+            got = client.partition(graph, 4, seed=1, ga=GA)
+            assert sends[1:] == [(409, False), (200, True)]
+            self._assert_same(got, graph, seed=1, ga=GA)
+        finally:
+            self._stop(server, client)
+
+    def test_graph_and_result_evicted(self, graph):
+        """A cache too small for two graphs: traffic on another graph
+        evicts the first graph and its answer, and the digest-only
+        repeat recomputes the identical answer after one 409."""
+        from repro.service.cache import _graph_nbytes, _result_nbytes
+
+        other = mesh_graph(48, seed=4)
+        graph_budget = _graph_nbytes(graph) * 3 // 2
+        server, client = self._serve(n_workers=1, cache_bytes=2 * graph_budget)
+        try:
+            store = server.service.store
+            first = client.partition(graph, 4, seed=0, ga=GA)
+            result_bytes = _result_nbytes(first)
+            for seed in range(store.results.max_bytes // result_bytes + 1):
+                client.partition(other, 4, seed=seed, method="greedy")
+            digest = graph_digest(graph)
+            assert store.graphs.lookup(digest) is None
+            assert store.results.get(first.request_key) is None
+            sends = _record_sends(client)
+            got = client.partition(graph, 4, seed=0, ga=GA)
+            assert sends == [(409, False), (200, True)]
+            assert not got.cache_hit
+            assert np.array_equal(got.assignment, first.assignment)
+            self._assert_same(got, graph, seed=0, ga=GA)
+        finally:
+            self._stop(server, client)
+
+    def test_shard_death_then_lost_graph(self, graph):
+        """A 503 (the holder died mid-call) is retried digest-only; the
+        restarted holder lacks the graph, so one 409 and a resend
+        follow."""
+        svc = _ShardDiesOnDigest(n_shards=2, n_workers=1)
+        server, client = self._serve(service=svc)
+        try:
+            client.partition(graph, 4, seed=0, ga=GA)  # ships the graph
+            sends = _record_sends(client)
+            got = client.partition(graph, 4, seed=1, ga=GA)
+            assert svc.died
+            assert sends == [(503, False), (409, False), (200, True)]
+            self._assert_same(got, graph, seed=1, ga=GA)
+        finally:
+            self._stop(server, client)
+
+
+# ----------------------------------------------------------------------
 # exception round-trip hardening (PR 5 satellite)
 # ----------------------------------------------------------------------
 
@@ -1127,22 +1376,23 @@ class TestProcessExecution:
             svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             pool = svc.scheduler.process_pool
             digest = graph_digest(graph)
-            assert svc._was_shipped(pool.slot(digest), digest)
+            assert svc._shipped[pool.slot(digest)].seen(digest)
             # a second distinct request reuses the shipped graph
             r2 = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
             assert r2.executed_in == "process"
-            assert sum(len(d) for d in svc._shipped.values()) == 1
+            assert sum(len(d) for d in svc._shipped) == 1
 
     def test_worker_resends_graph_after_state_loss(self, graph):
-        """The NEEDS_GRAPH fallback: if the parent believes a graph was
-        shipped but the worker does not hold it, the job is resent with
-        the arrays — shipping is an optimization, not a protocol."""
+        """The NeedsGraph fallback: if the parent believes a graph was
+        shipped but the worker does not hold it, the worker raises
+        NeedsGraph and the job is resent with the arrays — shipping is
+        an optimization, not a protocol."""
         with PartitionService(
             n_workers=1, process_workers=1, process_threshold=0
         ) as svc:
             digest = graph_digest(graph)
             slot = svc.scheduler.process_pool.slot(digest)
-            svc._mark_shipped(slot, digest)  # lie: nothing was shipped
+            svc._shipped[slot].mark(digest)  # lie: nothing was shipped
             r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             assert r.executed_in == "process"
         with PartitionService(n_workers=1) as svc:
@@ -1159,11 +1409,12 @@ class TestProcessExecution:
         with PartitionService(
             n_workers=1, process_workers=1, process_threshold=0
         ) as svc:
+            shipped = svc._shipped[0]
             for i in range(WORKER_GRAPH_CAP + 5):
-                svc._mark_shipped(0, f"digest-{i}")
-            assert len(svc._shipped[0]) == WORKER_GRAPH_CAP
-            assert not svc._was_shipped(0, "digest-0")  # evicted
-            assert svc._was_shipped(0, f"digest-{WORKER_GRAPH_CAP + 4}")
+                shipped.mark(f"digest-{i}")
+            assert len(shipped) == WORKER_GRAPH_CAP
+            assert not shipped.seen("digest-0")  # evicted
+            assert shipped.seen(f"digest-{WORKER_GRAPH_CAP + 4}")
 
     def test_serve_rejects_service_plus_shards(self, graph):
         from repro.service import make_server
