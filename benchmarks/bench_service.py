@@ -36,8 +36,8 @@ Four phases, all deterministic:
    eventually answers, bit-identical to an uninterrupted
    single-process replay; the crashed shard's session resumes from its
    snapshot bit-identically; and the warm-cache speedup is retained
-   after restart (a repeated request on the restarted shard hits the
-   cache again).
+   after restart (a repeated request hits the cache again, both at
+   the front and when sent to the restarted shard directly).
 5. **Connection concurrency** (PR 9) — ``--concurrency-clients``
    (default 256) simultaneous keep-alive connections hammer the
    event-loop front with mixed traffic (healthz, stats, greedy
@@ -55,13 +55,16 @@ Four phases, all deterministic:
    unified metrics registry and a span sample is kept as
    ``SERVICE_trace_sample.jsonl``.
 7. **Elastic grow** (PR 10) — a 2-shard fleet grows to 4 while the
-   mixed trace is replayed against it.  Gates: zero lost answers
-   (requests caught by the topology swap fail fast and answer on
-   retry), every answer bit-identical to the uninterrupted
-   single-process replay, the open session crosses the resize to its
-   new ring owner bit-identically, and the warm-hit rate is preserved
-   — every width-2 answer repeats as a cache hit at width 4 because
-   the grow re-seeds the new owners from the write-behind journals.
+   requests of a trace it has not answered yet are replayed against it
+   (the front answers repeats itself, so they would never cross the
+   topology swap).  Gates: zero lost answers (requests caught by the
+   swap fail fast and answer on retry), every answer bit-identical to
+   the uninterrupted single-process replay, the open session crosses
+   the resize to its new ring owner bit-identically, and the warm-hit
+   rate is preserved — every width-2 answer repeats as a cache hit at
+   width 4, at the front and when sent to its owner shard directly,
+   because the grow re-seeds the new owners from the write-behind
+   journals.
 8. **Report** — everything lands in ``SERVICE_metrics.json`` next to
    ``BENCH_metrics.json`` (with flat ``serving`` + ``failover`` +
    ``elastic`` + ``concurrency`` + ``observability`` sections that
@@ -535,7 +538,8 @@ def phase_failover() -> dict:
     killed shard's open session resumes from its snapshot with
     bit-identical assignments; (c) warm-cache speedup is retained
     after restart (a repeated request hits the restarted shard's
-    cache).
+    cache, asked directly: the front's answer cache would hit on its
+    own).
     """
     ga = dict(TRACE_GA_DEFAULTS)
     base = paper_mesh(SESSION_BASE)
@@ -624,11 +628,14 @@ def phase_failover() -> dict:
 
         # (c) warm-cache speedup retained: repeat a request routed to
         # the restarted shard — recomputed once cold, then a cache hit
-        probe = PartitionRequest(base, N_PARTS, seed=0, ga=ga)
+        # at the front and at the restarted shard itself.  Seed 2: the
+        # trace above already answered seeds 0 and 1 on this graph.
+        probe = PartitionRequest(base, N_PARTS, seed=2, ga=ga)
         cold = svc.submit(probe)
         warm = svc.submit(probe)
-        cache_retained = bool(warm.cache_hit)
-        repeat_speedup = cold.latency_s / max(warm.latency_s, 1e-9)
+        at_shard = svc._call(target, "submit", probe)
+        cache_retained = bool(warm.cache_hit and at_shard.cache_hit)
+        repeat_speedup = cold.latency_s / max(at_shard.latency_s, 1e-9)
         restarts = svc.shard_health()[target]["restarts"]
 
     return {
@@ -654,7 +661,9 @@ def phase_elastic() -> dict:
     ring owner over the snapshot store) with bit-identical updates;
     (c) the warm-hit rate is preserved — every answer served at width
     2 repeats as a cache hit at width 4, because the grow re-seeds the
-    new owners from the per-shard write-behind journals.
+    new owners from the per-shard write-behind journals.  The front
+    answers those repeats itself, so (a) replays requests the fleet
+    has not answered yet, and (c) also asks each owner shard directly.
     """
     ga = dict(TRACE_GA_DEFAULTS)
     base = paper_mesh(SESSION_BASE)
@@ -670,10 +679,16 @@ def phase_elastic() -> dict:
         for s in range(2)
         for size in BASE_SIZES
     ]
+    during = [
+        PartitionRequest(workload(size), N_PARTS, seed=s, ga=ga)
+        for s in range(2, 4)
+        for size in BASE_SIZES
+    ]
 
     # uninterrupted single-process reference (the bit-identity oracle)
     with PartitionService(n_workers=2) as ref_svc:
         ref_results = [ref_svc.submit(r) for r in requests]
+        ref_during = [ref_svc.submit(r) for r in during]
         ref_open = ref_svc.open_session(base, N_PARTS, seed=0, ga=ga)
         ref_updates = [
             ref_svc.update_session(UpdateRequest(ref_open.session_id, g))
@@ -694,12 +709,12 @@ def phase_elastic() -> dict:
             for a, ref in zip(pre, ref_results)
         )
 
-        # grow 2→4 while the same trace is replayed concurrently; any
+        # grow 2→4 while new requests are replayed concurrently; any
         # request caught by the topology swap fails fast and retries
         t0 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=4) as fan:
             futures = [
-                fan.submit(_submit_with_retry, svc, r) for r in requests
+                fan.submit(_submit_with_retry, svc, r) for r in during
             ]
             summary = svc.resize(4)
             outcomes = []
@@ -715,7 +730,7 @@ def phase_elastic() -> dict:
             o is not None
             and np.array_equal(o[0].assignment, ref.assignment)
             and o[0].cut_size == ref.cut_size
-            for o, ref in zip(outcomes, ref_results)
+            for o, ref in zip(outcomes, ref_during)
         )
         grown = (
             bool(summary["changed"])
@@ -734,12 +749,17 @@ def phase_elastic() -> dict:
         )
 
         # (c) warm-hit rate preserved: width-2 answers repeat as hits
-        # at width 4, wherever the ring routes them now
+        # at width 4, wherever the ring routes them now — at the front,
+        # and at each owner shard, which holds an answer it did not
+        # compute only if the grow re-warmed it from the journals
         post = [svc.submit(r) for r in requests]
+        owned = [svc._call(svc._route(r)[0], "submit", r) for r in requests]
         warm_hits = sum(1 for r in post if r.cache_hit)
+        owner_hits = sum(1 for r in owned if r.cache_hit)
         post_identical = all(
             np.array_equal(a.assignment, ref.assignment)
-            for a, ref in zip(post, ref_results)
+            and np.array_equal(b.assignment, ref.assignment)
+            for a, b, ref in zip(post, owned, ref_results)
         )
         ring_epoch = svc.ring.epoch
 
@@ -756,6 +776,7 @@ def phase_elastic() -> dict:
         "answers_identical_to_single": bool(identical and post_identical),
         "session_crossed_resize_identical": bool(session_crossed),
         "warm_hits_after_grow": int(warm_hits),
+        "owner_hits_after_grow": int(owner_hits),
     }
 
 
@@ -859,12 +880,14 @@ def main(argv=None) -> int:
         failures.append(
             "session did not cross the resize bit-identically"
         )
-    if elastic["warm_hits_after_grow"] < elastic["requests"]:
-        failures.append(
-            f"warm-hit rate not preserved across the grow: "
-            f"{elastic['warm_hits_after_grow']}/{elastic['requests']} "
-            "repeats hit the cache"
-        )
+    for where in ("warm", "owner"):
+        hits = elastic[f"{where}_hits_after_grow"]
+        if hits < elastic["requests"]:
+            failures.append(
+                f"warm-hit rate not preserved across the grow: "
+                f"{hits}/{elastic['requests']} repeats hit the "
+                f"{'front' if where == 'warm' else 'owner shard'} cache"
+            )
 
     concurrency = phase_concurrency(args.concurrency_clients)
     if not concurrency["all_matched"]:

@@ -18,6 +18,7 @@ __all__ = [
     "ServiceError",
     "ShardDiedError",
     "NeedsGraph",
+    "UnknownSession",
 ]
 
 
@@ -64,3 +65,9 @@ class NeedsGraph(ServiceError):
     """A request named its graph by digest alone, and the service holds
     neither the answer nor the graph.  Nothing was computed; the caller
     resends the same request with the graph attached (HTTP 409)."""
+
+
+class UnknownSession(ServiceError):
+    """A session verb named a session id that no shard or service holds
+    (never opened, already closed, or lost with a shard that had no
+    snapshot).  Nothing changed; HTTP answers 404."""

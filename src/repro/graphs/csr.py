@@ -20,6 +20,7 @@ graphs (see :mod:`repro.incremental.updates`).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,16 @@ import numpy as np
 from ..errors import GraphError
 
 __all__ = ["CSRGraph"]
+
+#: lazily-computed derived quantities, ``None`` until first asked for
+_MEMO_SLOTS = (
+    "_strengths",
+    "_node_tables",
+    "_unit_edge_weights",
+    "_unit_node_weights",
+    "_integer_edge_weights",
+    "_digest",
+)
 
 
 def _as_index_array(values, name: str) -> np.ndarray:
@@ -68,12 +79,7 @@ class CSRGraph:
         "indices",
         "adj_weights",
         "adj_edge_ids",
-        "_strengths",
-        "_node_tables",
-        "_unit_edge_weights",
-        "_unit_node_weights",
-        "_integer_edge_weights",
-    )
+    ) + _MEMO_SLOTS
 
     def __init__(
         self,
@@ -158,11 +164,8 @@ class CSRGraph:
         self._build_adjacency()
         # Lazily-computed derived quantities; safe to cache because every
         # array below is frozen for the graph's lifetime.
-        self._strengths: Optional[np.ndarray] = None
-        self._node_tables: Optional[tuple] = None
-        self._unit_edge_weights: Optional[bool] = None
-        self._unit_node_weights: Optional[bool] = None
-        self._integer_edge_weights: Optional[bool] = None
+        for name in _MEMO_SLOTS:
+            setattr(self, name, None)
         # Freeze all array state so accidental in-place mutation by callers
         # fails loudly instead of silently corrupting shared graphs.
         for name in (
@@ -316,6 +319,32 @@ class CSRGraph:
             self._integer_edge_weights = u
         return u
 
+    def content_digest(self) -> str:
+        """Stable content digest of the graph (32 hex chars, cached).
+
+        Hashes the canonical arrays with blake2b: the edge list (
+        deduplicated and sorted at construction, so any edge ordering of
+        the same graph digests identically), the weights, and the
+        coordinates when present — two graphs share a digest iff they
+        are ``==``.  The service names, routes and caches graphs by it
+        (:func:`repro.service.cache.graph_digest`).
+        """
+        d = self._digest
+        if d is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(str(self.n_nodes).encode())
+            for arr in (
+                self.edges_u,
+                self.edges_v,
+                self.edge_weights,
+                self.node_weights,
+            ):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            if self.coords is not None:
+                h.update(np.ascontiguousarray(self.coords).tobytes())
+            d = self._digest = h.hexdigest()
+        return d
+
     def iter_edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(u, v, weight)`` per undirected edge (canonical order)."""
         for u, v, w in zip(self.edges_u, self.edges_v, self.edge_weights):
@@ -352,6 +381,15 @@ class CSRGraph:
 
     def __hash__(self):  # pragma: no cover - explicit unhashability
         raise TypeError("CSRGraph is not hashable")
+
+    def __setstate__(self, state) -> None:
+        # a graph pickled before one of the memo slots existed (session
+        # snapshots outlive releases) lacks it: start every memo empty,
+        # then restore what the pickle holds
+        for name in _MEMO_SLOTS:
+            setattr(self, name, None)
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # Derived graphs

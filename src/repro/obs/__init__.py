@@ -59,6 +59,13 @@ repro_shard_deaths_total /
   _restarts_total / _reattach_total       counter    shard
 repro_sessions_routed_total               counter    —
 ========================================  =========  =======================
+
+Behind a sharded front, a repeat the front answers from its own cache
+never reaches a shard: the front's registry counts it in
+``repro_requests_total``, ``repro_request_latency_ms`` and
+``repro_cache_hits_total{cache="results"}``, and the shards count
+every request they see, so the merged snapshot counts each request
+once.
 """
 
 from .hooks import (

@@ -8,10 +8,14 @@ graph plus every parameter that affects the answer
 evaluator memo uses, so a row and a cached service result agree on
 identity by construction.
 
-Three stores hang off those names:
+Four stores hang off those names:
 
 * :class:`LRUBytesCache` — a generic thread-safe LRU bounded by a byte
-  budget, with hit/miss/eviction counters; backs the result cache.
+  budget, with hit/miss/eviction counters.
+* :class:`ResultCache` — an :class:`LRUBytesCache` of answers under
+  one copy rule: stored neutral, handed out as ``cache_hit`` copies.
+  It is each service's result cache and the sharded front's answer
+  cache.
 * :class:`GraphStore` — interns :class:`CSRGraph` instances by digest,
   so repeated requests on the same graph (or a graph arriving again
   over the wire) reuse one CSR build along with its memoized strength
@@ -45,6 +49,7 @@ __all__ = [
     "graph_digest",
     "request_key",
     "LRUBytesCache",
+    "ResultCache",
     "GraphStore",
     "ContentStore",
     "ShippedLRU",
@@ -52,25 +57,10 @@ __all__ = [
 
 
 def graph_digest(graph: CSRGraph) -> str:
-    """Stable content digest of a graph (hex).
-
-    Hashes the canonical CSR arrays (edge list is deduplicated and
-    sorted at construction, so any edge ordering of the same graph
-    digests identically), the weights, and the coordinates when
-    present — two graphs share a digest iff they are ``==``.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(graph.n_nodes).encode())
-    for arr in (
-        graph.edges_u,
-        graph.edges_v,
-        graph.edge_weights,
-        graph.node_weights,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    if graph.coords is not None:
-        h.update(np.ascontiguousarray(graph.coords).tobytes())
-    return h.hexdigest()
+    """Stable content digest of a graph (hex), memoised on the graph
+    (see :meth:`~repro.graphs.csr.CSRGraph.content_digest`): two graphs
+    share a digest iff they are ``==``."""
+    return graph.content_digest()
 
 
 def request_key(request, digest: Optional[str] = None) -> str:
@@ -282,6 +272,29 @@ def _result_nbytes(result: JobResult) -> int:
     return int(np.asarray(result.assignment).nbytes) + 256
 
 
+class ResultCache(LRUBytesCache):
+    """An LRU of answers keyed by :func:`request_key`.
+
+    It stores a neutral copy: the hit, coalesced and latency flags
+    describe the request being served, not the one that filled the
+    cache, and trace spans belong to the request that recorded them.
+    Every hit is a fresh ``cache_hit`` copy the caller may mutate.
+    """
+
+    def lookup(self, key: str) -> Optional[JobResult]:
+        """A *copy* of the cached result (caller owns mutation flags)."""
+        cached = self.get(key)
+        if cached is None:
+            return None
+        return cached.replace(cache_hit=True)
+
+    def store(self, key: str, result: JobResult) -> None:
+        neutral = result.replace(
+            cache_hit=False, coalesced=False, latency_s=0.0, spans=None
+        )
+        self.put(key, neutral, _result_nbytes(neutral))
+
+
 class ContentStore:
     """The service's cache plane: results + interned graphs + warm seeds.
 
@@ -293,24 +306,15 @@ class ContentStore:
     def __init__(self, cache_bytes: int = 64 << 20, max_seeds: int = 256) -> None:
         if cache_bytes < 0:
             raise ServiceError(f"cache_bytes must be >= 0, got {cache_bytes}")
-        self.results = LRUBytesCache(cache_bytes // 2)
+        self.results = ResultCache(cache_bytes // 2)
         self.graphs = GraphStore(cache_bytes - cache_bytes // 2, max_seeds)
 
     def lookup_result(self, key: str) -> Optional[JobResult]:
         """A *copy* of the cached result (caller owns mutation flags)."""
-        cached = self.results.get(key)
-        if cached is None:
-            return None
-        return cached.replace(cache_hit=True)
+        return self.results.lookup(key)
 
     def store_result(self, key: str, result: JobResult) -> None:
-        # store a neutral copy: hit/latency flags describe the serving
-        # request, not the one that happened to populate the cache (and
-        # trace spans belong to the request that recorded them)
-        neutral = result.replace(
-            cache_hit=False, coalesced=False, latency_s=0.0, spans=None
-        )
-        self.results.put(key, neutral, _result_nbytes(neutral))
+        self.results.store(key, result)
 
     def stats(self) -> dict:
         return {

@@ -33,7 +33,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from ..errors import NeedsGraph, ServiceError, ShardDiedError
+from ..errors import NeedsGraph, ServiceError, ShardDiedError, UnknownSession
 from ..graphs.csr import CSRGraph
 from .cache import ShippedLRU, graph_digest
 from .core import PartitionService
@@ -186,7 +186,8 @@ class HTTPServiceClient:
     ``graph_digest`` in place of the graph.  A ``409`` with
     ``needs_graph`` surfaces as :class:`~repro.errors.NeedsGraph` and
     ``partition`` resends once with the graph; a ``503`` surfaces as
-    :class:`~repro.errors.ShardDiedError`.
+    :class:`~repro.errors.ShardDiedError`, and a session verb's ``404``
+    as :class:`~repro.errors.UnknownSession`.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
@@ -272,6 +273,8 @@ class HTTPServiceClient:
             )
             if status == 409 and body.get("needs_graph") is True:
                 raise NeedsGraph(message)
+            if status == 404 and path.startswith("/v1/session/"):
+                raise UnknownSession(message)
             if status == 503:
                 raise ShardDiedError(message)
             raise ServiceError(message)

@@ -58,7 +58,13 @@ import json
 import threading
 from typing import Optional, Sequence
 
-from ..errors import NeedsGraph, ReproError, ServiceError, ShardDiedError
+from ..errors import (
+    NeedsGraph,
+    ReproError,
+    ServiceError,
+    ShardDiedError,
+    UnknownSession,
+)
 from .core import PartitionService
 from .models import (
     PartitionRequest,
@@ -197,9 +203,10 @@ def dispatch_request(
         # answer 503 (retryable) so HTTP clients can distinguish
         # "retry me once the shard restarts" from a bad request
         return _json_response(503, {"error": str(exc)})
+    except UnknownSession as exc:
+        return _json_response(404, {"error": str(exc)})
     except ServiceError as exc:
-        status = 404 if "unknown session" in str(exc) else 400
-        return _json_response(status, {"error": str(exc)})
+        return _json_response(400, {"error": str(exc)})
     except ReproError as exc:
         return _json_response(400, {"error": str(exc)})
     # repro: allow[BROAD-EXCEPT] — the 500 boundary: a handler bug must

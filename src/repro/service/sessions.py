@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, ServiceError
+from ..errors import ConfigError, ServiceError, UnknownSession
 from ..ga.config import GAConfig
 from ..graphs.csr import CSRGraph
 from ..incremental.partitioner import IncrementalGAPartitioner
@@ -224,7 +224,7 @@ class SessionManager:
         with self._lock:
             session = self._sessions.get(session_id)
         if session is None:
-            raise ServiceError(f"unknown session {session_id!r}")
+            raise UnknownSession(f"unknown session {session_id!r}")
         return session
 
     def update(self, session_id: str, new_graph: CSRGraph) -> tuple[Session, Partition]:
@@ -299,7 +299,7 @@ class SessionManager:
     def _check_registered(self, session_id: str, session: Session) -> None:
         with self._lock:
             if self._sessions.get(session_id) is not session:
-                raise ServiceError(f"unknown session {session_id!r}")
+                raise UnknownSession(f"unknown session {session_id!r}")
 
     def close(self, session_id: str) -> dict:
         with self._lock:
@@ -307,7 +307,7 @@ class SessionManager:
             if session is not None:
                 self.closed += 1
         if session is None:
-            raise ServiceError(f"unknown session {session_id!r}")
+            raise UnknownSession(f"unknown session {session_id!r}")
         # serial-path updates hold the state lock for their whole GA run
         # (close waits, as in PR 3); overlapped updates hold it only
         # briefly, so this returns immediately and a racing update fails

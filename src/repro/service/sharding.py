@@ -9,8 +9,9 @@ caches, pinned executors, and sessions), behind a thin front that
 routes every request by **graph digest** through a consistent-hash
 ring (:mod:`repro.service.ring`, PR 10)::
 
-    request ──digest──→ shard = ring.owner(digest) ──transport──→ shard
-                                                                 worker
+    request ──→ front answer cache ──hit──→ answer
+          └─miss─digest──→ shard = ring.owner(digest) ──transport──→ shard
+                                                                   worker
 
 Routing by content digest is what keeps the per-shard caches as
 effective as a single process's: a given graph always lands on the
@@ -21,6 +22,21 @@ reaches the shard that interned its graph; a shard that does not hold
 the graph raises :class:`~repro.errors.NeedsGraph` back through the
 front.  Sessions are routed by the digest of their opening graph and
 then stick to their shard by session id.
+
+The front answers repeats itself.  It keeps one bounded LRU of answers
+(:class:`~repro.service.cache.ResultCache`, ``cache_bytes // 2``,
+the size of each shard's result half) keyed by the shards' own
+:func:`~repro.service.cache.request_key`.  ``submit`` and
+``submit_many`` look a request up there before routing it: a hit is a
+``cache_hit`` copy marked with the ring owner's index and touches no
+transport; a miss goes to its owner, and every reply is stored.  The
+front counts each hit once for the fleet (``repro_cache_hits_total``,
+``repro_requests_total``, ``repro_request_latency_ms``, the ``stats()``
+totals); misses are counted by the shard that looks them up.  The
+shard caches still serve what the front cannot: a new front attached
+to shard servers that outlived the old one, the in-flight join of
+identical concurrent misses, and the write-behind journal.  Session
+verbs never touch the front cache.
 
 Elastic fleet (PR 10): because the ring is an explicit, epoch-numbered
 topology instead of ``% N``, membership can change at runtime:
@@ -99,7 +115,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
-from ..errors import ServiceError, ShardDiedError
+from ..errors import ServiceError, ShardDiedError, UnknownSession
 from ..graphs.csr import CSRGraph
 from ..obs.logs import get_logger
 from ..obs.metrics import (
@@ -108,9 +124,9 @@ from ..obs.metrics import (
     merge_snapshots,
 )
 from ..obs.trace import Tracer
-from .cache import graph_digest
+from .cache import ResultCache, graph_digest, request_key
 from .config import ServiceConfig
-from .models import JobResult, UpdateRequest
+from .models import JobResult, RefineRequest, UpdateRequest
 from .ring import RING_PROTOCOL_VERSION, HashRing
 from .transport import (
     SHUTDOWN,
@@ -734,6 +750,10 @@ class ShardedPartitionService:
             sample_rate=config.trace_sample,
         )
         self.registry = MetricsRegistry()
+        #: the front's answers, keyed like the shards' result caches and
+        #: sized like one shard's result half: a repeat is answered here
+        #: and never crosses a transport
+        self._answers = ResultCache(config.cache_bytes // 2)
         self._mp_ctx = multiprocessing.get_context()
         self._fleet_lock = threading.Lock()
         self._fleet_cond = threading.Condition(self._fleet_lock)
@@ -826,6 +846,12 @@ class ShardedPartitionService:
                 for slot, share in sorted(shares.items())
             ]
 
+        # a repeat answered here is counted once, here: the shards never
+        # see it.  A miss is counted by the shard that looks it up.
+        reg.counter_fn(
+            "repro_cache_hits_total",
+            lambda: [({"cache": "results"}, float(self._answers.hits))],
+        )
         reg.gauge_fn("repro_ring_epoch", ring_epoch)
         reg.gauge_fn("repro_ring_members", ring_members)
         reg.gauge_fn("repro_ring_ownership_ratio", ring_shares)
@@ -1157,38 +1183,75 @@ class ShardedPartitionService:
         *and* across shard restarts, for a given ring epoch)."""
         return self.ring.owner(graph_digest(graph))
 
-    def _route(self, request) -> int:
-        """The shard a request routes to: a digest-only request names
-        its digest, any other request carries its graph."""
-        if request.graph is None:
-            return self.ring.owner(request.graph_digest)
-        return self.shard_of(request.graph)
+    def _route(self, request) -> tuple[int, str]:
+        """``(shard, digest)``: the digest a request names — a
+        digest-only request carries it, any other request its graph —
+        and the ring owner it routes to."""
+        digest = (
+            request.graph_digest
+            if request.graph is None
+            else graph_digest(request.graph)
+        )
+        return self.ring.owner(digest), digest
 
     def _mark(self, result: JobResult, shard: int) -> JobResult:
         result.shard = shard
         return result
 
+    def _front_hit(
+        self, request, digest: str, t0: float
+    ) -> tuple[str, Optional[JobResult]]:
+        """``(cache key, answer held by the front or None)``.  A hit is
+        counted as a request here, since no shard sees it."""
+        key = request_key(request, digest=digest)
+        cached = self._answers.lookup(key)
+        if cached is not None:
+            endpoint = (
+                "refine" if isinstance(request, RefineRequest)
+                else "partition"
+            )
+            cached.latency_s = time.perf_counter() - t0
+            self.registry.inc("repro_requests_total", endpoint=endpoint)
+            self.registry.observe(
+                "repro_request_latency_ms", cached.latency_s * 1e3,
+                endpoint=endpoint,
+            )
+        return key, cached
+
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
         self._check_open()
-        shard = self._route(request)
+        t0 = time.perf_counter()
+        shard, digest = self._route(request)
         span = self.tracer.start(
             "front.submit", parent=request.trace,
             attrs={"endpoint": "partition", "shard": shard},
         )
         with span:
-            result = self._traced_call(span, shard, "submit", request)
+            key, result = self._front_hit(request, digest, t0)
+            if result is None:
+                result = self._traced_call(span, shard, "submit", request)
+                self._answers.store(key, result)
+            span.set(cache_hit=result.cache_hit)
         return self._mark(result, shard)
 
     def submit_many(self, requests: Sequence) -> list[JobResult]:
-        """Batch submission: the batch splits by shard, each sub-batch
-        keeps its relative order (so per-shard coalescing behaves as in
-        a single process), and sub-batches run concurrently."""
+        """Batch submission: answers the front holds are filled in
+        first; the rest split by shard, each sub-batch keeps its
+        relative order (so per-shard coalescing behaves as in a single
+        process), and sub-batches run concurrently."""
         self._check_open()
+        results: list[Optional[JobResult]] = [None] * len(requests)
+        keys: list[str] = [""] * len(requests)
         by_shard: dict[int, list[int]] = {}
         for i, request in enumerate(requests):
-            by_shard.setdefault(self._route(request), []).append(i)
-        results: list[Optional[JobResult]] = [None] * len(requests)
+            t0 = time.perf_counter()
+            shard, digest = self._route(request)
+            keys[i], cached = self._front_hit(request, digest, t0)
+            if cached is not None:
+                results[i] = self._mark(cached, shard)
+            else:
+                by_shard.setdefault(shard, []).append(i)
 
         span = self.tracer.start(
             "front.submit_many",
@@ -1199,6 +1262,7 @@ class ShardedPartitionService:
             batch = [requests[i] for i in members]
             out = self._traced_call(span, shard, "submit_many", batch)
             for i, result in zip(members, out):
+                self._answers.store(keys[i], result)
                 results[i] = self._mark(result, shard)
 
         with span:
@@ -1275,17 +1339,26 @@ class ShardedPartitionService:
                 shards.append(handle.call("stats"))
             except ShardDiedError as exc:
                 shards.append({"unavailable": str(exc)})
+        # a repeat the front answered never reached a shard: the front
+        # adds it to the totals as a request and a result-cache hit
+        front = self._answers.stats()
+        totals = _merge_stats(shards)
+        _merge_stats_into(totals, {
+            "cache": {"results": {"hits": front["hits"]}},
+            "latency": {"count": front["hits"]},
+        })
         return {
             "n_shards": self.n_shards,
             "sessions_routed": routed,
             "ring": self.ring.describe(),
             "health": health,
+            "front_cache": front,
             "shards": shards,
             # fleet aggregate: before this existed, callers had to sum
             # the raw per-shard rows themselves and quietly lost any key
             # not present on every row (mixed configs, unavailable
             # shards) — the merge rules live in _merge_stats
-            "totals": _merge_stats(shards),
+            "totals": totals,
         }
 
     def metrics(self) -> dict:
@@ -1338,7 +1411,7 @@ class ShardedPartitionService:
                 self._session_cond.wait(remaining)
             shard = self._session_shard.get(session_id)
         if shard is None:
-            raise ServiceError(f"unknown session {session_id!r}")
+            raise UnknownSession(f"unknown session {session_id!r}")
         return shard
 
     # -- health probes (PR 10) -----------------------------------------

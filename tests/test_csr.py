@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph substrate."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,50 @@ class TestAdjacency:
             assert incident[i] == float(g.neighbor_weights(i).sum())
             assert weights[i] == g.node_weights[i]
         assert g.node_tables() is g.node_tables()  # cached
+
+
+def _blank_graph() -> CSRGraph:
+    return CSRGraph.__new__(CSRGraph)
+
+
+class _OldPickle:
+    """Pickles as a :class:`CSRGraph` written by a release whose class
+    had no ``missing`` slots (a session snapshot can be that old)."""
+
+    def __init__(self, graph: CSRGraph, missing: set) -> None:
+        self.state = {
+            name: getattr(graph, name)
+            for name in CSRGraph.__slots__
+            if name not in missing
+        }
+
+    def __reduce__(self):
+        return _blank_graph, (), (None, self.state)
+
+
+class TestContentDigest:
+    def test_memoised_and_content_defined(self):
+        g = grid2d(4, 4)
+        d = g.content_digest()
+        assert len(d) == 32 and g.content_digest() is d  # cached
+        assert grid2d(4, 4).content_digest() == d
+        heavier = g.with_weights(node_weights=np.full(16, 2.0))
+        assert heavier.content_digest() != d
+
+    def test_pickle_keeps_the_digest(self):
+        g = grid2d(4, 4)
+        d = g.content_digest()
+        assert pickle.loads(pickle.dumps(g)).content_digest() == d
+
+    def test_graph_pickled_before_the_memo_slots_loads_and_hashes(self):
+        g = grid2d(4, 4)
+        fresh = grid2d(4, 4)
+        old = pickle.loads(pickle.dumps(
+            _OldPickle(g, {"_digest", "_node_tables"})
+        ))
+        assert isinstance(old, CSRGraph) and old == g
+        assert old.content_digest() == fresh.content_digest()
+        assert old.node_tables() == fresh.node_tables()
 
 
 class TestImmutability:

@@ -18,7 +18,12 @@ import pytest
 
 from repro import partition_graph
 from repro.analysis import LockWitness, WitnessViolation, extract_lock_graph
-from repro.errors import GraphFormatError, NeedsGraph, ServiceError
+from repro.errors import (
+    GraphFormatError,
+    NeedsGraph,
+    ServiceError,
+    UnknownSession,
+)
 from repro.ga.config import GAConfig
 from repro.graphs import mesh_graph
 from repro.incremental.partitioner import IncrementalGAPartitioner
@@ -972,6 +977,21 @@ class TestDispatchValidation:
         )
         assert status == 400, body
 
+    @pytest.mark.parametrize("field", [
+        {"fitness_kind": "unknown session"},
+        {"ga": {"unknown session": 1}},
+    ])
+    def test_unknown_session_in_a_bad_field_answers_400(
+        self, service, graph, field
+    ):
+        """A bad request whose message happens to quote "unknown
+        session" is still a bad request: only the typed error is 404."""
+        status, body = _post_partition(
+            service, {"graph": graph_to_wire(graph), "n_parts": 4, **field}
+        )
+        assert status == 400, body
+        assert "unknown session" in body["error"]
+
     @pytest.mark.parametrize("case", list(BAD_DIGESTS))
     def test_malformed_digest_answers_400(self, service, graph, case):
         fields = dict(BAD_DIGESTS[case])
@@ -1010,6 +1030,12 @@ class TestHTTP:
             http_client._call("/v1/partition", {"n_parts": 2})  # no graph
         with pytest.raises(ServiceError, match="HTTP 404"):
             http_client._call("/v1/nope", {})
+
+    def test_unknown_session_is_typed(self, http_client, graph):
+        with pytest.raises(UnknownSession, match="HTTP 404"):
+            http_client.update_session("missing", graph)
+        with pytest.raises(UnknownSession, match="HTTP 404"):
+            http_client.close_session("missing")
 
     def test_unknown_digest_answers_409(self, http_client):
         """A digest the server never received: 409 "Conflict" with

@@ -9,9 +9,10 @@ shard-death fail-fast, supervised restart with session failover
 bit-identity, the exception round-trip hardening, the elastic
 fleet: live resize with session/warm-result handoff, dead shards
 serving degraded out of the ring with zero lost answers, probe-driven
-eject/readmit, and the ``/v1/admin/ring`` endpoint, and digest-first
+eject/readmit, and the ``/v1/admin/ring`` endpoint, digest-first
 partition requests recovering from a lost graph with one 409 and a
-resend.
+resend, the front's answer cache (repeats answered with no shard
+call, counted once), and typed unknown-session errors on both lanes.
 """
 
 import json
@@ -23,7 +24,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import LockWitness, extract_lock_graph
-from repro.errors import NeedsGraph, ServiceError, ShardDiedError
+from repro.errors import (
+    NeedsGraph,
+    ServiceError,
+    ShardDiedError,
+    UnknownSession,
+)
 from repro.incremental.partitioner import IncrementalGAPartitioner
 from repro.experiments import replay_trace, service_trace
 from repro.experiments.workloads import workload
@@ -125,7 +131,7 @@ class TestShardedService:
             r1 = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             r2 = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             assert r1.shard == r2.shard == expected
-            assert r2.cache_hit  # the shard's own result cache fired
+            assert r2.cache_hit  # the front's answer cache fired
 
     def test_submit_many_reassembles_in_order(self, graph):
         other = mesh_graph(56, seed=9)
@@ -714,6 +720,11 @@ class TestFailover:
             assert after.shard == before.shard == shard
             assert np.array_equal(after.assignment, ref.assignment)
             assert np.array_equal(before.assignment, ref.assignment)
+            # the front answered that repeat; the replacement shard
+            # computes the same bits when asked directly
+            direct = svc._call(shard, "submit",
+                               PartitionRequest(graph, 4, seed=0, ga=GA))
+            assert np.array_equal(direct.assignment, ref.assignment)
             health = svc.shard_health()[shard]
             assert health["restarts"] == 1 and health["state"] == "up"
 
@@ -911,13 +922,26 @@ class TestElasticFleet:
         (and the 4→2 shrink back) under session traffic answers
         bit-identically to an uninterrupted single-process run, moves
         open sessions to their new ring owners, and re-seeds warm
-        results so a re-submitted request stays a cache hit."""
+        results so a re-submitted request stays a cache hit.  The front
+        answers repeats on its own, so the re-warm is checked at the
+        owner shards, on a graph whose owner the grow moves."""
+        from repro.service import HashRing
+
         other = mesh_graph(56, seed=9)
+        moved = next(
+            g for g in (mesh_graph(40, seed=s) for s in range(100))
+            if HashRing(2).owner(graph_digest(g))
+            != HashRing(4).owner(graph_digest(g))
+        )
         update = insert_local_nodes(graph, 5, seed=7).graph
         update2 = insert_local_nodes(update, 5, seed=8).graph
         with PartitionService(n_workers=1) as ref_svc:
             ref_open = ref_svc.open_session(graph, 4, seed=0, ga=GA)
             ref_part = ref_svc.submit(PartitionRequest(other, 4, seed=0, ga=GA))
+            ref_moved = [
+                ref_svc.submit(PartitionRequest(moved, 4, seed=s, ga=GA))
+                for s in (0, 1)
+            ]
             ref_upd = ref_svc.update_session(
                 UpdateRequest(ref_open.session_id, update)
             )
@@ -929,6 +953,7 @@ class TestElasticFleet:
             assert np.array_equal(opened.assignment, ref_open.assignment)
             before = svc.submit(PartitionRequest(other, 4, seed=0, ga=GA))
             assert np.array_equal(before.assignment, ref_part.assignment)
+            svc.submit(PartitionRequest(moved, 4, seed=0, ga=GA))
 
             summary = svc.resize(4)
             assert summary["changed"] and summary["spawned"] == [2, 3]
@@ -944,6 +969,15 @@ class TestElasticFleet:
             again = svc.submit(PartitionRequest(other, 4, seed=0, ga=GA))
             assert again.cache_hit
             assert np.array_equal(again.assignment, ref_part.assignment)
+            # the new owner of a moved digest holds its answer only if
+            # the grow re-warmed it from the old owner's journal
+            owned = svc._call(svc.shard_of(moved), "submit",
+                              PartitionRequest(moved, 4, seed=0, ga=GA))
+            assert owned.cache_hit
+            assert np.array_equal(owned.assignment, ref_moved[0].assignment)
+            # computed at width 4 by that owner: the shrink re-warms it
+            # back onto the width-2 owner
+            svc.submit(PartitionRequest(moved, 4, seed=1, ga=GA))
 
             shrink = svc.resize(2)
             assert shrink["changed"] and svc.n_shards == 2
@@ -952,6 +986,10 @@ class TestElasticFleet:
             assert np.array_equal(got2.assignment, ref_upd2.assignment)
             final = svc.submit(PartitionRequest(other, 4, seed=0, ga=GA))
             assert final.cache_hit
+            owned = svc._call(svc.shard_of(moved), "submit",
+                              PartitionRequest(moved, 4, seed=1, ga=GA))
+            assert owned.cache_hit
+            assert np.array_equal(owned.assignment, ref_moved[1].assignment)
             summary = svc.close_session(opened.session_id)
             assert summary["n_updates"] == 2
 
@@ -1161,7 +1199,7 @@ class _ShardDiesOnDigest(ShardedPartitionService):
     def submit(self, request):
         if request.graph is None and not self.died:
             self.died = True
-            shard = self._route(request)
+            shard, _ = self._route(request)
             handle = self._slots[shard].handle
             handle.process.kill()
             handle._reader.join(timeout=30.0)  # the death path has run
@@ -1219,8 +1257,9 @@ class TestDigestFirst:
 
     def test_ring_grow_moved_digest(self):
         """After a 2 → 4 grow moves a digest to a new owner, its
-        journal-warmed answer is still a digest-only hit, and a new
-        request for it costs one 409."""
+        journal-warmed answer is still a digest-only hit — at the front
+        and at the new owner shard — and a new request for it costs one
+        409."""
         from repro.service import HashRing
 
         graph = next(
@@ -1239,6 +1278,10 @@ class TestDigestFirst:
             assert hit.cache_hit and hit.shard == svc.shard_of(graph)
             assert np.array_equal(hit.assignment, first.assignment)
             assert sends == [(200, False)]
+            owned = svc._call(svc.shard_of(graph), "submit", PartitionRequest(
+                None, 4, seed=0, ga=GA, graph_digest=graph_digest(graph)))
+            assert owned.cache_hit
+            assert np.array_equal(owned.assignment, first.assignment)
             got = client.partition(graph, 4, seed=1, ga=GA)
             assert sends[1:] == [(409, False), (200, True)]
             self._assert_same(got, graph, seed=1, ga=GA)
@@ -1287,6 +1330,240 @@ class TestDigestFirst:
             self._assert_same(got, graph, seed=1, ga=GA)
         finally:
             self._stop(server, client)
+
+
+# ----------------------------------------------------------------------
+# the front's answer cache: repeats never cross a shard transport
+# ----------------------------------------------------------------------
+
+def _record_shard_calls(svc) -> list:
+    """Wrap ``svc``'s shard RPC; each data call appends ``(shard, verb,
+    number of requests)``."""
+    calls = []
+    call = svc._traced_call
+
+    def recording(parent, shard, verb, *args):
+        n = len(args[0]) if verb == "submit_many" else 1
+        calls.append((shard, verb, n))
+        return call(parent, shard, verb, *args)
+
+    svc._traced_call = recording
+    return calls
+
+
+def _counter(snapshot: dict, name: str, **labels) -> float:
+    return sum(
+        c["value"] for c in snapshot["counters"]
+        if c["name"] == name and c["labels"] == labels
+    )
+
+
+class TestFrontCache:
+    def test_repeat_answers_with_owner_dead(self, graph):
+        """A repeat through ServiceClient(shards=2) is answered by the
+        front: the owner shard is dead and never restarted, yet the
+        same bits come back, marked with the owner, with no shard call."""
+        request = dict(seed=0, ga=GA)
+        with ServiceClient(
+            shards=2, n_workers=1, auto_restart=False
+        ) as client:
+            svc = client.service
+            first = client.partition(graph, 4, **request)
+            owner = svc.shard_of(graph)
+            svc._slots[owner].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[owner]["state"] == "down"
+            )
+            calls = _record_shard_calls(svc)
+            again = client.partition(graph, 4, **request)
+            assert calls == []
+            assert again.cache_hit and not first.cache_hit
+            assert again.shard == first.shard == owner
+            assert np.array_equal(again.assignment, first.assignment)
+            assert (again.cut_size, again.fitness) == (
+                first.cut_size, first.fitness)
+            with pytest.raises(ShardDiedError):  # a miss still needs it
+                client.partition(graph, 4, seed=1, ga=GA)
+
+    def test_http_repeat_answers_with_owner_dead(self, graph):
+        from repro.service import HTTPServiceClient, serve
+
+        server = serve(
+            port=0, background=True, shards=2, n_workers=1,
+            auto_restart=False,
+        )
+        host, port = server.server_address
+        client = HTTPServiceClient(f"http://{host}:{port}", timeout=120.0)
+        try:
+            svc = server.service
+            first = client.partition(graph, 4, seed=0, ga=GA)
+            owner = svc.shard_of(graph)
+            svc._slots[owner].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[owner]["state"] == "down"
+            )
+            calls = _record_shard_calls(svc)
+            sends = _record_sends(client)
+            again = client.partition(graph, 4, seed=0, ga=GA)
+            assert calls == [] and sends == [(200, False)]
+            assert again.cache_hit and again.shard == owner
+            assert np.array_equal(again.assignment, first.assignment)
+            assert again.cut_size == first.cut_size
+        finally:
+            client.close()
+            server.service.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_one_hit_one_miss_counted_once(self, graph):
+        """Over HTTP, a miss then its repeat: /v1/metrics and the
+        stats() totals each show exactly one result-cache hit, one
+        miss and two requests, across the front and both shards."""
+        from repro.service import HTTPServiceClient, serve
+
+        server = serve(port=0, background=True, shards=2, n_workers=1)
+        host, port = server.server_address
+        client = HTTPServiceClient(f"http://{host}:{port}", timeout=120.0)
+        try:
+            client.partition(graph, 4, seed=0, ga=GA)
+            client.partition(graph, 4, seed=0, ga=GA)
+            snap = client.metrics()
+            stats = client.stats()
+        finally:
+            client.close()
+            server.service.close()
+            server.shutdown()
+            server.server_close()
+        assert _counter(snap, "repro_cache_hits_total", cache="results") == 1
+        assert _counter(
+            snap, "repro_cache_misses_total", cache="results") == 1
+        assert _counter(
+            snap, "repro_requests_total", endpoint="partition") == 2
+        assert snap["latency_ms"]["partition"]["count"] == 2
+        totals = stats["totals"]
+        assert totals["cache"]["results"]["hits"] == 1
+        assert totals["cache"]["results"]["misses"] == 1
+        assert totals["latency"]["count"] == 2
+        front = stats["front_cache"]
+        assert front["entries"] == 1 and front["hits"] == 1
+        assert sum(
+            row["cache"]["results"]["hits"] for row in stats["shards"]
+        ) == 0
+
+    def test_front_hit_is_one_traced_span(self, graph):
+        ctx = {"trace_id": "ef" * 8, "span_id": "01" * 4}
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, trace_enabled=True
+        ) as svc:
+            svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+            svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA, trace=ctx))
+            records = svc.tracer.records(ctx["trace_id"])
+        (front,) = records
+        assert front["name"] == "front.submit"
+        assert front["attrs"]["cache_hit"] is True
+        assert front["parent_id"] == ctx["span_id"]
+
+    def test_budget_too_small_falls_through_to_the_shard(self, graph):
+        """A cache_bytes that holds one answer per cache: the second
+        request evicts the first, so its repeat is sent to the shard
+        again and comes back with the same bits."""
+        from repro.service.cache import _result_nbytes
+
+        with PartitionService(n_workers=1) as single:
+            ref = single.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+        one = _result_nbytes(ref)
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, cache_bytes=2 * (one * 3 // 2)
+        ) as svc:
+            first = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+            svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+            assert svc.stats()["front_cache"]["evictions"] == 1
+            calls = _record_shard_calls(svc)
+            again = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
+            assert calls == [(svc.shard_of(graph), "submit", 1)]
+        for got in (first, again):
+            assert not got.cache_hit
+            assert np.array_equal(got.assignment, ref.assignment)
+            assert (got.cut_size, got.fitness) == (ref.cut_size, ref.fitness)
+
+    def test_submit_many_mixes_front_hits_and_misses(self, graph):
+        other = mesh_graph(56, seed=9)
+        requests = [
+            PartitionRequest(graph, 4, seed=0, ga=GA),
+            PartitionRequest(other, 4, method="greedy"),
+            PartitionRequest(other, 4, seed=0, ga=GA),
+            PartitionRequest(graph, 4, method="random", seed=2),
+            PartitionRequest(None, 4, method="random", seed=5,
+                             graph_digest=graph_digest(other)),
+        ]
+        with PartitionService(n_workers=1) as single:
+            ref = [single.submit(r) for r in requests[:4]]
+            ref.append(single.submit(
+                PartitionRequest(other, 4, method="random", seed=5)))
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            svc.submit(requests[0])
+            svc.submit(requests[2])
+            calls = _record_shard_calls(svc)
+            out = svc.submit_many(requests)
+            assert [r.cache_hit for r in out] == [
+                True, False, True, False, False]
+            assert sum(n for _, verb, n in calls) == 3
+            assert all(verb == "submit_many" for _, verb, _ in calls)
+            assert [r.shard for r in out] == [
+                svc.shard_of(g) for g in (graph, other, other, graph, other)
+            ]
+            # the batch stored its misses: the same batch again is all
+            # front hits and makes no shard call
+            calls.clear()
+            repeat = svc.submit_many(requests)
+            assert calls == [] and all(r.cache_hit for r in repeat)
+        for got in (out, repeat):
+            assert [r.method for r in got] == [r.method for r in ref]
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.assignment, b.assignment)
+                assert (a.cut_size, a.fitness) == (b.cut_size, b.fitness)
+
+
+# ----------------------------------------------------------------------
+# unknown sessions: a typed error, 404 over HTTP, on every lane
+# ----------------------------------------------------------------------
+
+class TestUnknownSession:
+    @staticmethod
+    def _update_status(svc, session_id, graph) -> int:
+        from repro.service import dispatch_request
+
+        body = json.dumps(UpdateRequest(session_id, graph).to_payload())
+        status, _, _ = dispatch_request(
+            svc, "POST", "/v1/session/update", body.encode()
+        )
+        return status
+
+    def _check_lane(self, svc, graph) -> None:
+        """The front still routes a session its shard has forgotten, so
+        the shard's UnknownSession crosses the lane to the front."""
+        opened = svc.open_session(graph, 4, seed=0, ga=GA)
+        svc._call(opened.shard, "close_session", opened.session_id)
+        with pytest.raises(UnknownSession, match="unknown session"):
+            svc.update_session(UpdateRequest(opened.session_id, graph))
+        assert self._update_status(svc, opened.session_id, graph) == 404
+        # an id the front never routed fails at the front, same type
+        with pytest.raises(UnknownSession):
+            svc.close_session("never-opened")
+        assert self._update_status(svc, "never-opened", graph) == 404
+
+    def test_pipe_lane(self, graph):
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            self._check_lane(svc, graph)
+
+    def test_socket_lane(self, graph):
+        with ShardServer(n_workers=1) as server:
+            server.start()
+            front = ShardedPartitionService(attach=[server.address])
+            try:
+                self._check_lane(front, graph)
+            finally:
+                front.close()
 
 
 # ----------------------------------------------------------------------
