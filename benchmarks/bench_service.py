@@ -24,7 +24,9 @@ Four phases, all deterministic:
    (b) a digest-sharded :class:`ShardedPartitionService` of the same
    width, plus (c) the single-process service again with its
    process-pool execution lane.  Every sharded/process answer must be
-   bit-identical to the single-process one; aggregate sharded
+   bit-identical to the single-process one, and the sharded front must
+   have placed at least one miss off its ring owner
+   (``sharded_spills``), so the identity covers placement; aggregate sharded
    throughput must beat single-process by ``--min-shard-speedup``
    (default 2x) **when the machine has ≥ 4 cores** — on fewer cores
    the number is recorded and the gate reported as skipped, since a
@@ -295,6 +297,13 @@ def phase_scaling(
 
     with ShardedPartitionService(n_shards=shards, n_workers=2) as sharded:
         sharded_s, sharded_results = _drive(sharded, requests, shards)
+        # misses the front placed off their ring owner: the answers
+        # below are only proven placement-independent if some were
+        spills = sum(
+            c["value"] for c in sharded.metrics()["counters"]
+            if c["name"] == "repro_placements_total"
+            and c["labels"] == {"placement": "spill"}
+        )
 
     with PartitionService(
         n_workers=shards, process_workers=shards, process_threshold=0
@@ -326,6 +335,7 @@ def phase_scaling(
         "sharded_speedup": round(single_s / max(sharded_s, 1e-9), 2),
         "process_speedup": round(single_s / max(process_s, 1e-9), 2),
         "sharded_identical_to_single": bool(identical),
+        "sharded_spills": int(spills),
         "process_identical_to_single": bool(process_identical),
     }
 
@@ -934,6 +944,11 @@ def main(argv=None) -> int:
     if not scaling["sharded_identical_to_single"]:
         failures.append(
             "sharded responses are not bit-identical to single-process"
+        )
+    if scaling["sharded_spills"] <= 0:
+        failures.append(
+            "no sharded miss was placed off its ring owner, so the "
+            "identity check did not cover placement"
         )
     if not scaling["process_identical_to_single"]:
         failures.append(

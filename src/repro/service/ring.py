@@ -15,6 +15,12 @@ change at runtime:
   slot's virtual nodes appear or vanish, a resize N→N+1 moves ~1/(N+1)
   of the keyspace and an eject moves only the dead slot's share — the
   remap-minimality property ``tests/test_ring.py`` checks.
+  ``preference()`` extends ``owner()`` to an order over every member:
+  the owner, then each other member in the order its first virtual
+  node follows the digest's point clockwise.  The sharded front places
+  a cache miss on the first member of that order whose load is under
+  the bounded-load cap (:mod:`repro.service.sharding`).  Ejecting a
+  member drops it from every order and keeps the survivors' order.
 * :class:`HashRing` — the mutable wrapper the sharded front holds.
   Every mutation (``resize``/``eject``/``readmit``) builds a *new*
   ``RingVersion`` with the epoch advanced and swaps it in atomically;
@@ -148,6 +154,18 @@ class RingVersion:
             idx = 0  # wrap past the highest virtual node
         return self._owners[idx]
 
+    def preference(self, digest: str) -> tuple[int, ...]:
+        """Every member slot once, in ``digest``'s preference order: the
+        owner first, then each other member in the order its first
+        virtual node follows the digest's point clockwise."""
+        start = bisect.bisect_right(self._points, ring_point(digest))
+        order: dict[int, None] = {}
+        for slot in self._owners[start:] + self._owners[:start]:
+            order.setdefault(slot, None)
+            if len(order) == len(self.members):
+                break
+        return tuple(order)
+
     def shares(self) -> dict[int, float]:
         """Fraction of the keyspace each member owns (arc lengths) —
         the ``repro_ring_ownership_ratio`` gauge."""
@@ -230,6 +248,9 @@ class HashRing:
 
     def owner(self, digest: str) -> int:
         return self.version.owner(digest)
+
+    def preference(self, digest: str) -> tuple[int, ...]:
+        return self.version.preference(digest)
 
     def describe(self) -> dict:
         return self.version.describe()

@@ -9,19 +9,17 @@ caches, pinned executors, and sessions), behind a thin front that
 routes every request by **graph digest** through a consistent-hash
 ring (:mod:`repro.service.ring`, PR 10)::
 
-    request ──→ front answer cache ──hit──→ answer
-          └─miss─digest──→ shard = ring.owner(digest) ──transport──→ shard
-                                                                   worker
+    request ──→ front answer cache ──hit──→ answer, marked with the owner
+          └─miss─digest──→ placement: the first slot of
+                           ring.preference(digest) under the load cap
+                                     ──transport──→ shard worker
 
 Routing by content digest is what keeps the per-shard caches as
-effective as a single process's: a given graph always lands on the
-same shard, so its interned CSR build, cached results, and warm seeds
-concentrate there instead of being diluted across workers.  A
-digest-only partition request routes by the digest it names, so it
-reaches the shard that interned its graph; a shard that does not hold
-the graph raises :class:`~repro.errors.NeedsGraph` back through the
-front.  Sessions are routed by the digest of their opening graph and
-then stick to their shard by session id.
+effective as a single process's: a given graph's answers, sessions and
+warm seeds stay with its ring owner instead of being diluted across
+workers.  A cache miss runs on the owner too unless the owner is busy
+(placement, below).  Sessions are routed by the digest of their
+opening graph and then stick to their shard by session id.
 
 The front answers repeats itself.  It keeps one bounded LRU of answers
 (:class:`~repro.service.cache.ResultCache`, ``cache_bytes // 2``,
@@ -29,14 +27,43 @@ the size of each shard's result half) keyed by the shards' own
 :func:`~repro.service.cache.request_key`.  ``submit`` and
 ``submit_many`` look a request up there before routing it: a hit is a
 ``cache_hit`` copy marked with the ring owner's index and touches no
-transport; a miss goes to its owner, and every reply is stored.  The
-front counts each hit once for the fleet (``repro_cache_hits_total``,
+transport, and every shard reply is stored.  The front counts each hit
+once for the fleet (``repro_cache_hits_total``,
 ``repro_requests_total``, ``repro_request_latency_ms``, the ``stats()``
 totals); misses are counted by the shard that looks them up.  The
 shard caches still serve what the front cannot: a new front attached
 to shard servers that outlived the old one, the in-flight join of
 identical concurrent misses, and the write-behind journal.  Session
 verbs never touch the front cache.
+
+A ``submit`` miss is placed by bounded load (Mirrokni, Thorup &
+Zadimoghaddam, "Consistent Hashing with Bounded Loads", SODA 2018,
+with ε = :data:`PLACEMENT_EPSILON`).  The front counts the GA-bearing
+calls it has in flight per slot: ``submit`` misses, ``submit_many``
+sub-batches, and session opens and updates.  A miss goes to the first
+ring member, in its digest's preference order (the owner, then each
+other member clockwise), with fewer than ``ceil(m / n)`` calls in
+flight, where ``m`` counts the front's in-flight GA calls including
+this one and ``n`` the ring members.  A serial stream therefore always
+runs on the owner, and two concurrent misses on one owner run on two
+shards.  Every shard computes the same bits, and the front stores every
+answer, so placement decides only which core computes a miss.  Some
+calls are never placed:
+
+* a miss whose key is already in flight goes to the shard computing
+  it, whose scheduler joins the two;
+* ``warm_start`` misses stay on the owner, which holds the warm seed;
+* session verbs stay on their session's shard, and ``submit_many``
+  sub-batches on their owner, which stacks a refine group into one
+  lockstep climb.
+
+A digest-only miss placed on a shard that does not hold its graph
+raises :class:`~repro.errors.NeedsGraph` back through the front (HTTP
+409); the client resends once with the graph, which interns it on the
+shard the resend runs on.
+``repro_placements_total{placement="owner"|"spill"}`` counts where
+``submit`` misses ran, and ``repro_shard_inflight{shard}`` is the load
+signal itself.  A miss's ``result.shard`` is the shard that ran it.
 
 Elastic fleet (PR 10): because the ring is an explicit, epoch-numbered
 topology instead of ``% N``, membership can change at runtime:
@@ -106,6 +133,7 @@ processes.  A standalone :class:`ShardServer` has no such constraint.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import re
@@ -143,6 +171,14 @@ __all__ = [
 
 _LOG = get_logger("service.sharding")
 
+
+#: ε of Mirrokni, Thorup & Zadimoghaddam's bounded-load rule: a cache
+#: miss runs on the first ring member, in its digest's preference order,
+#: with fewer than ``ceil((1 + ε) · m / n)`` GA calls in flight (``m``
+#: the front's in-flight GA calls counting this one, ``n`` the ring
+#: members).  At 2 shards any ε > 0 lets the owner keep two misses, so
+#: nothing would move (benchmarks/NOTES.md).
+PLACEMENT_EPSILON = 0.0
 
 #: percentile-style stats keys that cannot meaningfully sum across
 #: shards — the fleet aggregate takes their max instead
@@ -754,6 +790,13 @@ class ShardedPartitionService:
         #: sized like one shard's result half: a repeat is answered here
         #: and never crosses a transport
         self._answers = ResultCache(config.cache_bytes // 2)
+        #: the load signal miss placement reads: GA-bearing calls in
+        #: flight per slot, and the slot each in-flight miss key runs on
+        #: (``[slot, calls]``, so an identical miss meets it in that
+        #: shard's scheduler).  A leaf lock.
+        self._load_lock = threading.Lock()
+        self._inflight: dict[int, int] = {}
+        self._inflight_keys: dict[str, list[int]] = {}
         self._mp_ctx = multiprocessing.get_context()
         self._fleet_lock = threading.Lock()
         self._fleet_cond = threading.Condition(self._fleet_lock)
@@ -852,6 +895,21 @@ class ShardedPartitionService:
             "repro_cache_hits_total",
             lambda: [({"cache": "results"}, float(self._answers.hits))],
         )
+
+        def inflight():
+            with self._load_lock:
+                counts = dict(self._inflight)
+            slots = set(range(self.ring.n_slots)) | set(counts)
+            return [
+                ({"shard": str(slot)}, float(counts.get(slot, 0)))
+                for slot in sorted(slots)
+            ]
+
+        # where each submit miss ran: its ring owner, or another member
+        # (a spill) because the owner was at the bounded-load cap
+        for placement in ("owner", "spill"):
+            reg.inc("repro_placements_total", 0.0, placement=placement)
+        reg.gauge_fn("repro_shard_inflight", inflight)
         reg.gauge_fn("repro_ring_epoch", ring_epoch)
         reg.gauge_fn("repro_ring_members", ring_members)
         reg.gauge_fn("repro_ring_ownership_ratio", ring_shares)
@@ -1142,6 +1200,16 @@ class ShardedPartitionService:
             self.tracer.ingest(spans)
         return result
 
+    def _pinned_call(self, parent, shard: int, verb: str, *args):
+        """A GA-bearing call that must run on ``shard`` (a session verb
+        or a ``submit_many`` sub-batch): it counts in the load signal
+        while in flight but is never placed."""
+        self._claim(shard)
+        try:
+            return self._traced_call(parent, shard, verb, *args)
+        finally:
+            self._release(shard)
+
     def shard_health(self) -> list[dict]:
         """Per-shard supervision state (also embedded in :meth:`stats`).
 
@@ -1198,6 +1266,46 @@ class ShardedPartitionService:
         result.shard = shard
         return result
 
+    def _claim(
+        self, owner: int, digest: Optional[str] = None,
+        key: Optional[str] = None,
+    ) -> int:
+        """Count one GA call in flight and return the slot it goes to.
+        A call given only ``owner`` is pinned there.  A miss given its
+        ``digest`` and cache ``key`` joins the slot already running
+        ``key``, or else takes the first member of the digest's ring
+        preference order that is under the bounded-load cap."""
+        preference = self.ring.preference(digest) if digest else ()
+        with self._load_lock:
+            running = self._inflight_keys.get(key)
+            if running is not None:
+                shard = running[0]
+                running[1] += 1
+            elif preference:
+                m = sum(self._inflight.values()) + 1
+                cap = math.ceil((1 + PLACEMENT_EPSILON) * m / len(preference))
+                # the members' counts sum to at most m - 1 < n * cap, so
+                # some member is under the cap
+                shard = next(
+                    s for s in preference if self._inflight.get(s, 0) < cap
+                )
+                self._inflight_keys[key] = [shard, 1]
+            else:
+                shard = owner
+            self._inflight[shard] = self._inflight.get(shard, 0) + 1
+        return shard
+
+    def _release(self, shard: int, key: Optional[str] = None) -> None:
+        """Undo :meth:`_claim` once the call has ended, however it
+        ended."""
+        with self._load_lock:
+            self._inflight[shard] -= 1
+            running = self._inflight_keys.get(key)
+            if running is not None:
+                running[1] -= 1
+                if not running[1]:
+                    del self._inflight_keys[key]
+
     def _front_hit(
         self, request, digest: str, t0: float
     ) -> tuple[str, Optional[JobResult]]:
@@ -1220,18 +1328,34 @@ class ShardedPartitionService:
 
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
+        """A front hit is marked with the ring owner; a miss is placed
+        by bounded load (``warm_start`` misses stay on the owner, which
+        holds the warm seed) and marked with the shard that ran it."""
         self._check_open()
         t0 = time.perf_counter()
-        shard, digest = self._route(request)
+        owner, digest = self._route(request)
         span = self.tracer.start(
             "front.submit", parent=request.trace,
-            attrs={"endpoint": "partition", "shard": shard},
+            attrs={"endpoint": "partition", "shard": owner, "owner": owner},
         )
         with span:
             key, result = self._front_hit(request, digest, t0)
+            shard = owner
             if result is None:
-                result = self._traced_call(span, shard, "submit", request)
-                self._answers.store(key, result)
+                if getattr(request, "warm_start", False):
+                    shard = self._claim(owner)
+                else:
+                    shard = self._claim(owner, digest, key)
+                self.registry.inc(
+                    "repro_placements_total",
+                    placement="owner" if shard == owner else "spill",
+                )
+                span.set(shard=shard)
+                try:
+                    result = self._traced_call(span, shard, "submit", request)
+                    self._answers.store(key, result)
+                finally:
+                    self._release(shard, key)
             span.set(cache_hit=result.cache_hit)
         return self._mark(result, shard)
 
@@ -1260,7 +1384,9 @@ class ShardedPartitionService:
 
         def run_shard(shard: int, members: list[int]) -> None:
             batch = [requests[i] for i in members]
-            out = self._traced_call(span, shard, "submit_many", batch)
+            # one shard stacks a refine group into one lockstep climb,
+            # so a sub-batch stays on its owner
+            out = self._pinned_call(span, shard, "submit_many", batch)
             for i, result in zip(members, out):
                 self._answers.store(keys[i], result)
                 results[i] = self._mark(result, shard)
@@ -1288,7 +1414,7 @@ class ShardedPartitionService:
             attrs={"endpoint": "open_session", "shard": shard},
         )
         with span:
-            result = self._traced_call(
+            result = self._pinned_call(
                 span, shard, "open_session", graph, int(n_parts), kwargs
             )
             span.set(session_id=result.session_id)
@@ -1309,7 +1435,7 @@ class ShardedPartitionService:
                    "session_id": request.session_id},
         )
         with span:
-            result = self._traced_call(
+            result = self._pinned_call(
                 span, shard, "update_session", request
             )
         return self._mark(result, shard)

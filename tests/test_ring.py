@@ -5,9 +5,9 @@ remap-minimality property (the reason the ring exists — a resize moves
 ~1/(N+1) of the keyspace, an eject only the dead slot's share, a
 modulus layout moves almost everything), frozen epoch-0 expectations
 documenting the one-time migration off the PR-4 ``% N`` layout,
-describe/from_description round-trips, and the mutation semantics
+describe/from_description round-trips, the mutation semantics
 (epoch advance, idempotence, ejected-stays-ejected, empty-ring
-refusal).
+refusal), and the preference order miss placement walks.
 """
 
 import hashlib
@@ -112,6 +112,32 @@ def test_shares_sum_to_one_and_stay_balanced():
     for share in shares.values():
         # 64 vnodes/slot keeps each share within a factor ~2 of 1/N
         assert 0.5 / 4 < share < 2.0 / 4
+
+
+# ---------------------------------------------------------------------------
+# preference order — where the sharded front places a cache miss
+
+
+def test_preference_starts_with_owner_and_names_each_member_once():
+    for ring in (RingVersion(0, 4), RingVersion(0, 5, members=[0, 2, 4])):
+        seconds = set()
+        for digest in _digests(300):
+            order = ring.preference(digest)
+            assert order[0] == ring.owner(digest)
+            assert sorted(order) == list(ring.members)
+            seconds.add(order[1])
+        # a busy owner's misses spill to every other member, not to one
+        assert seconds == set(ring.members)
+
+
+def test_preference_keeps_the_survivors_order_after_eject():
+    ring = HashRing(4)
+    digests = _digests(300)
+    before = {d: ring.preference(d) for d in digests}
+    ring.eject(2)
+    for d in digests:
+        assert ring.preference(d) == tuple(s for s in before[d] if s != 2)
+        assert ring.preference(d)[0] == ring.owner(d)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ serving degraded out of the ring with zero lost answers, probe-driven
 eject/readmit, and the ``/v1/admin/ring`` endpoint, digest-first
 partition requests recovering from a lost graph with one 409 and a
 resend, the front's answer cache (repeats answered with no shard
-call, counted once), and typed unknown-session errors on both lanes.
+call, counted once), bounded-load placement of cache misses, and typed
+unknown-session errors on both lanes.
 """
 
 import json
@@ -1522,6 +1523,308 @@ class TestFrontCache:
             for a, b in zip(got, ref):
                 assert np.array_equal(a.assignment, b.assignment)
                 assert (a.cut_size, a.fitness) == (b.cut_size, b.fitness)
+
+
+# ----------------------------------------------------------------------
+# miss placement: bounded load on the ring's preference order
+# ----------------------------------------------------------------------
+
+def _graphs_sharing_an_owner(n_shards: int = 2) -> tuple:
+    """Two distinct meshes whose digests have the same ring owner."""
+    from repro.service import HashRing
+
+    ring, seen = HashRing(n_shards), {}
+    for seed in range(100):
+        g = mesh_graph(48, seed=seed)
+        owner = ring.owner(graph_digest(g))
+        if owner in seen:
+            return seen[owner], g
+        seen[owner] = g
+    raise AssertionError("no two meshes share an owner")
+
+
+def _before_calls(svc, hook) -> None:
+    """Run ``hook(shard, verb, args)`` before each of ``svc``'s shard
+    data calls, after placement has counted the call in flight."""
+    call = svc._traced_call
+
+    def hooked(parent, shard, verb, *args):
+        hook(shard, verb, args)
+        return call(parent, shard, verb, *args)
+
+    svc._traced_call = hooked
+
+
+class _Hold:
+    """Keeps one shard call in flight at the front until released: the
+    call ``start()`` makes waits, once placement has counted it, if
+    ``match(verb, args)``."""
+
+    def __init__(self, svc, start, match) -> None:
+        self.held = threading.Event()
+        self.release = threading.Event()
+        self.result = None
+
+        def hook(shard, verb, args):
+            if match(verb, args):
+                self.held.set()
+                assert self.release.wait(timeout=60)
+
+        _before_calls(svc, hook)
+        self.thread = threading.Thread(
+            target=lambda: setattr(self, "result", start())
+        )
+
+    def __enter__(self) -> "_Hold":
+        self.thread.start()
+        assert self.held.wait(timeout=60)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release.set()
+        self.thread.join(timeout=60)
+
+
+def _hold_submit(svc, graph) -> _Hold:
+    """Holds a miss on ``graph`` (GA seed 99) at its owner."""
+    return _Hold(
+        svc,
+        lambda: svc.submit(PartitionRequest(graph, 4, seed=99, ga=GA)),
+        lambda verb, args: verb == "submit" and args[0].seed == 99,
+    )
+
+
+def _inflight(svc) -> dict:
+    return {
+        g["labels"]["shard"]: g["value"]
+        for g in svc.metrics()["gauges"]
+        if g["name"] == "repro_shard_inflight"
+    }
+
+
+class TestPlacement:
+    def test_concurrent_misses_on_one_owner_run_on_both_shards(self):
+        """Two distinct misses in flight at once on one owner: the second
+        spills to the other shard, and both answers match one process."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        a, b = _graphs_sharing_an_owner()
+        requests = [PartitionRequest(g, 4, seed=0, ga=GA) for g in (a, b)]
+        with PartitionService(n_workers=1) as single:
+            ref = [single.submit(r) for r in requests]
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, trace_enabled=True
+        ) as svc:
+            owner = svc.shard_of(a)
+            assert svc.shard_of(b) == owner
+            both_placed = threading.Barrier(2, timeout=60)
+            _before_calls(svc, lambda *_: both_placed.wait())
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                out = list(pool.map(svc.submit, requests))
+            assert sorted(r.shard for r in out) == [0, 1]
+            spans = [
+                r["attrs"] for r in svc.tracer.records()
+                if r["name"] == "front.submit"
+            ]
+            assert sorted(
+                (attrs["owner"], attrs["shard"]) for attrs in spans
+            ) == sorted((owner, r.shard) for r in out)
+            snap = svc.metrics()
+            assert _counter(
+                snap, "repro_placements_total", placement="owner") == 1
+            assert _counter(
+                snap, "repro_placements_total", placement="spill") == 1
+            assert _inflight(svc) == {"0": 0.0, "1": 0.0}
+            # a repeat is a front hit, marked with the owner
+            again = svc.submit(requests[1])
+            assert again.cache_hit and again.shard == owner
+        for got, want in zip(out, ref):
+            assert not got.cache_hit
+            assert np.array_equal(got.assignment, want.assignment)
+            assert (got.cut_size, got.fitness) == (want.cut_size, want.fitness)
+
+    def test_concurrent_identical_misses_execute_once(self, graph):
+        """The second of two identical misses goes where the first runs
+        (the owner is busy, so bounded load alone would spill it), and
+        that shard's scheduler joins them."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        # a budget long enough that both calls reach the shard while
+        # the first one runs
+        request = PartitionRequest(
+            graph, 4, seed=0,
+            ga=dict(population_size=64, max_generations=30, patience=None),
+        )
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            both_placed = threading.Barrier(2, timeout=60)
+            _before_calls(svc, lambda *_: both_placed.wait())
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                out = list(pool.map(svc.submit, [request, request]))
+            scheduler = svc.stats()["totals"]["scheduler"]
+            spills = _counter(
+                svc.metrics(), "repro_placements_total", placement="spill")
+        assert scheduler["jobs_executed"] == 1
+        assert scheduler["jobs_joined"] == 1
+        assert spills == 0
+        assert out[0].shard == out[1].shard
+        assert np.array_equal(out[0].assignment, out[1].assignment)
+
+    def test_pinned_calls_stay_on_a_busy_owner(self, graph):
+        """With the owner holding a call, a plain miss spills, but a
+        ``warm_start`` miss, a session's open and update, and a
+        ``submit_many`` batch all run on the owner."""
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            owner = svc.shard_of(graph)
+            with _hold_submit(svc, graph) as hold:
+                spilled = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+                assert spilled.shard != owner
+                warm = svc.submit(PartitionRequest(
+                    graph, 4, seed=2, ga=GA, warm_start=True))
+                opened = svc.open_session(graph, 4, seed=0, ga=GA)
+                update = insert_local_nodes(graph, 5, seed=7)
+                updated = svc.update_session(
+                    UpdateRequest(opened.session_id, update.graph))
+                batch = svc.submit_many([
+                    PartitionRequest(graph, 4, seed=s, ga=GA) for s in (3, 4)
+                ])
+                assert _inflight(svc)[str(owner)] == 1.0
+            assert hold.result.shard == owner
+            assert warm.shard == opened.shard == updated.shard == owner
+            assert [r.shard for r in batch] == [owner, owner]
+            snap = svc.metrics()
+            assert _counter(
+                snap, "repro_placements_total", placement="spill") == 1
+            assert _inflight(svc) == {"0": 0.0, "1": 0.0}
+
+    @pytest.mark.parametrize("verb", ["open_session", "submit_many"])
+    def test_pinned_calls_count_as_load(self, graph, verb):
+        """A session verb or a batch in flight on the owner is load: a
+        miss on the same owner spills while it runs."""
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            owner = svc.shard_of(graph)
+            start = {
+                "open_session": lambda: svc.open_session(
+                    graph, 4, seed=0, ga=GA),
+                "submit_many": lambda: svc.submit_many(
+                    [PartitionRequest(graph, 4, seed=5, ga=GA)]),
+            }[verb]
+            with _Hold(svc, start, lambda v, _: v == verb) as hold:
+                assert _inflight(svc)[str(owner)] == 1.0
+                spilled = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+            assert spilled.shard != owner
+            pinned = hold.result if verb == "open_session" else hold.result[0]
+            assert pinned.shard == owner
+
+    def test_http_spill_without_the_graph_costs_one_409(self, graph):
+        """A digest-only miss placed on a shard that never saw its graph
+        costs one 409 and one resend and returns the same bits; the
+        next one placed there needs no resend."""
+        from repro.service import HTTPServiceClient, serve
+
+        server = serve(port=0, background=True, shards=2, n_workers=1)
+        host, port = server.server_address
+        client = HTTPServiceClient(f"http://{host}:{port}", timeout=120.0)
+        try:
+            svc = server.service
+            owner = svc.shard_of(graph)
+            client.partition(graph, 4, seed=0, ga=GA)  # ships to the owner
+            with _hold_submit(svc, graph):
+                sends = _record_sends(client)
+                got = client.partition(graph, 4, seed=1, ga=GA)
+                assert sends == [(409, False), (200, True)]
+                assert got.shard != owner
+                again = client.partition(graph, 4, seed=2, ga=GA)
+                assert sends[2:] == [(200, False)]
+                assert again.shard == got.shard
+        finally:
+            client.close()
+            server.service.close()
+            server.shutdown()
+            server.server_close()
+        with PartitionService(n_workers=1) as single:
+            for seed, result in ((1, got), (2, again)):
+                want = single.submit(PartitionRequest(graph, 4, seed=seed, ga=GA))
+                assert np.array_equal(result.assignment, want.assignment)
+                assert (result.cut_size, result.fitness) == (
+                    want.cut_size, want.fitness)
+
+    def test_inflight_returns_to_zero_after_failed_calls(self, graph):
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, auto_restart=False
+        ) as svc:
+            with pytest.raises(NeedsGraph):
+                svc.submit(PartitionRequest(
+                    None, 4, seed=0, ga=GA, graph_digest="0" * 32))
+            with pytest.raises(ServiceError) as bad:
+                svc.submit(PartitionRequest(graph, 4, ga={"bogus": 1}))
+            assert not isinstance(bad.value, ShardDiedError)
+            owner = svc.shard_of(graph)
+            svc._slots[owner].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[owner]["state"] == "down"
+            )
+            with pytest.raises(ShardDiedError):
+                svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+            with pytest.raises(ShardDiedError):
+                svc.open_session(graph, 4, seed=0, ga=GA)
+            assert _inflight(svc) == {"0": 0.0, "1": 0.0}
+            assert svc._inflight_keys == {}
+
+    def test_load_counts_survive_contention(self):
+        """8 threads claim and release placed misses (some with one
+        shared key) and pinned calls under a 1 µs switch interval: every
+        count returns to 0, which a lost update would break."""
+        import sys
+
+        digests = ["%032x" % (7919 * s) for s in range(4)]
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+
+            def worker(t: int) -> None:
+                for i in range(5000):
+                    digest = digests[(t + i) % len(digests)]
+                    owner = svc.ring.owner(digest)
+                    key = None if i % 3 == 0 else f"key-{i % 5}"
+                    shard = (
+                        svc._claim(owner) if key is None
+                        else svc._claim(owner, digest, key)
+                    )
+                    svc._release(shard, key)
+
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(8)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert _inflight(svc) == {"0": 0.0, "1": 0.0}
+            assert svc._inflight_keys == {}
+
+    def test_serial_stream_never_spills(self):
+        """One request at a time never finds its owner at the cap: every
+        miss runs on its owner (the property ``mixed`` relies on)."""
+        a, b = _graphs_sharing_an_owner()
+        other = mesh_graph(56, seed=9)
+        requests = [
+            PartitionRequest(g, 4, seed=s, ga=GA)
+            for s in range(2) for g in (a, b, other)
+        ]
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            out = [svc.submit(r) for r in requests]
+            opened = svc.open_session(a, 4, seed=0, ga=GA)
+            svc.close_session(opened.session_id)
+            snap = svc.metrics()
+            owners = [svc.shard_of(r.graph) for r in requests]
+        assert [r.shard for r in out] == owners
+        assert _counter(snap, "repro_placements_total", placement="spill") == 0
+        assert _counter(
+            snap, "repro_placements_total", placement="owner") == len(requests)
 
 
 # ----------------------------------------------------------------------
