@@ -15,11 +15,13 @@ ring (:mod:`repro.service.ring`, PR 10)::
                                      ──transport──→ shard worker
 
 Routing by content digest is what keeps the per-shard caches as
-effective as a single process's: a given graph's answers, sessions and
-warm seeds stay with its ring owner instead of being diluted across
-workers.  A cache miss runs on the owner too unless the owner is busy
-(placement, below).  Sessions are routed by the digest of their
-opening graph and then stick to their shard by session id.
+effective as a single process's: a given graph's sessions stay with
+its ring owner, and its cache misses run there unless the owner is
+busy (placement, below).  An answer and its warm seed stay on the
+shard that computed it, and the front remembers which one that was,
+so nothing is diluted across workers.  Sessions are routed by the
+digest of their opening graph and then stick to their shard by
+session id.
 
 The front answers repeats itself.  It keeps one bounded LRU of answers
 (:class:`~repro.service.cache.ResultCache`, ``cache_bytes // 2``,
@@ -31,10 +33,10 @@ transport, and every shard reply is stored.  The front counts each hit
 once for the fleet (``repro_cache_hits_total``,
 ``repro_requests_total``, ``repro_request_latency_ms``, the ``stats()``
 totals); misses are counted by the shard that looks them up.  The
-shard caches still serve what the front cannot: a new front attached
-to shard servers that outlived the old one, the in-flight join of
-identical concurrent misses, and the write-behind journal.  Session
-verbs never touch the front cache.
+shard caches still serve what the front cannot: repeats the front LRU
+has evicted, a new front attached to shard servers that outlived the
+old one, the in-flight join of identical concurrent misses, and the
+write-behind journal.  Session verbs never touch the front cache.
 
 A ``submit`` miss is placed by bounded load (Mirrokni, Thorup &
 Zadimoghaddam, "Consistent Hashing with Bounded Loads", SODA 2018,
@@ -44,18 +46,31 @@ sub-batches, and session opens and updates.  A miss goes to the first
 ring member, in its digest's preference order (the owner, then each
 other member clockwise), with fewer than ``ceil(m / n)`` calls in
 flight, where ``m`` counts the front's in-flight GA calls including
-this one and ``n`` the ring members.  A serial stream therefore always
-runs on the owner, and two concurrent misses on one owner run on two
-shards.  Every shard computes the same bits, and the front stores every
-answer, so placement decides only which core computes a miss.  Some
-calls are never placed:
+this one and ``n`` the ring members.  Only the owner and members whose
+slot is up qualify, and the owner takes a miss that no member can.  A
+serial stream therefore always runs on the owner, and two concurrent
+misses on one owner run on two shards.  Every shard computes the same
+bits, so placement decides only which core computes a miss.  Some
+calls are not placed by load:
 
 * a miss whose key is already in flight goes to the shard computing
   it, whose scheduler joins the two;
-* ``warm_start`` misses stay on the owner, which holds the warm seed;
+* a miss the front answered before (a repeat its LRU has evicted) goes
+  back to the shard that answered it, whose cache holds it;
+* a ``warm_start`` miss goes to the shard holding the best warm seed
+  of its (graph, k, fitness) among the answers the front has seen:
+  the owner, unless a spill computed the best one;
 * session verbs stay on their session's shard, and ``submit_many``
   sub-batches on their owner, which stacks a refine group into one
   lockstep climb.
+
+A remembered shard that is not up gives way to the owner.  The front
+keeps what it remembers for the last :data:`PLACEMENT_MEMORY` answers
+and seeds.  What it forgets, and what a new front attached to shard
+servers that outlived the old one never knew, falls back to the owner:
+a repeat of an answer a spill computed runs the GA again there, and a
+``warm_start`` miss sees only the owner's seed.  A ``submit_many``
+sub-batch, which always runs on the owner, sees it the same way.
 
 A digest-only miss placed on a shard that does not hold its graph
 raises :class:`~repro.errors.NeedsGraph` back through the front (HTTP
@@ -140,6 +155,7 @@ import re
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -154,7 +170,12 @@ from ..obs.metrics import (
 from ..obs.trace import Tracer
 from .cache import ResultCache, graph_digest, request_key
 from .config import ServiceConfig
-from .models import JobResult, RefineRequest, UpdateRequest
+from .models import (
+    JobResult,
+    PartitionRequest,
+    RefineRequest,
+    UpdateRequest,
+)
 from .ring import RING_PROTOCOL_VERSION, HashRing
 from .transport import (
     SHUTDOWN,
@@ -179,6 +200,21 @@ _LOG = get_logger("service.sharding")
 #: members).  At 2 shards any ε > 0 lets the owner keep two misses, so
 #: nothing would move (benchmarks/NOTES.md).
 PLACEMENT_EPSILON = 0.0
+
+#: How many answered miss keys, and how many (graph, k, fitness) warm
+#: seeds, the front remembers the shard of (least recently answered
+#: forgotten first).  An entry costs the front about 270 bytes, so the
+#: two memories stay under 9 MB.
+PLACEMENT_MEMORY = 16384
+
+
+def _remember(memory: OrderedDict, key, value) -> None:
+    """Store ``key`` as the most recent entry of a bounded memory."""
+    memory.pop(key, None)
+    memory[key] = value
+    if len(memory) > PLACEMENT_MEMORY:
+        memory.popitem(last=False)
+
 
 #: percentile-style stats keys that cannot meaningfully sum across
 #: shards — the fleet aggregate takes their max instead
@@ -797,6 +833,15 @@ class ShardedPartitionService:
         self._load_lock = threading.Lock()
         self._inflight: dict[int, int] = {}
         self._inflight_keys: dict[str, list[int]] = {}
+        #: where the shards keep what the front answered, under the
+        #: same lock and each bounded by :data:`PLACEMENT_MEMORY`: the
+        #: slot that answered each miss key, so a repeat the front LRU
+        #: has evicted goes back to the shard cache that holds it, and
+        #: per (graph, k, fitness) the fitness and slot of the best
+        #: answer, so a ``warm_start`` miss runs where the best warm
+        #: seed is
+        self._homes: OrderedDict[str, int] = OrderedDict()
+        self._best_seed: OrderedDict[tuple, tuple] = OrderedDict()
         self._mp_ctx = multiprocessing.get_context()
         self._fleet_lock = threading.Lock()
         self._fleet_cond = threading.Condition(self._fleet_lock)
@@ -1266,29 +1311,55 @@ class ShardedPartitionService:
         result.shard = shard
         return result
 
+    def _up_members(self) -> set[int]:
+        """Ring members whose slot is up.  Read under the fleet lock and
+        never inside the load lock, which stays a leaf."""
+        with self._fleet_lock:
+            up = {slot.index for slot in self._slots if slot.state == "up"}
+        return up & set(self.ring.members)
+
     def _claim(
         self, owner: int, digest: Optional[str] = None,
-        key: Optional[str] = None,
+        key: Optional[str] = None, seed_key: Optional[tuple] = None,
     ) -> int:
         """Count one GA call in flight and return the slot it goes to.
+
         A call given only ``owner`` is pinned there.  A miss given its
-        ``digest`` and cache ``key`` joins the slot already running
-        ``key``, or else takes the first member of the digest's ring
-        preference order that is under the bounded-load cap."""
+        ``digest`` and cache ``key`` goes to the first of: the slot
+        already running ``key``, whose scheduler joins the two; the
+        slot that answered ``key`` before, whose cache holds it; for a
+        ``warm_start`` miss (given its ``seed_key``), the slot holding
+        the best warm seed, or the owner; else the first member of the
+        digest's ring preference order under the bounded-load cap, or
+        the owner.  A remembered slot that is not up gives way to the
+        owner."""
         preference = self.ring.preference(digest) if digest else ()
+        up = self._up_members() if preference else set()
         with self._load_lock:
             running = self._inflight_keys.get(key)
             if running is not None:
                 shard = running[0]
                 running[1] += 1
             elif preference:
-                m = sum(self._inflight.values()) + 1
-                cap = math.ceil((1 + PLACEMENT_EPSILON) * m / len(preference))
-                # the members' counts sum to at most m - 1 < n * cap, so
-                # some member is under the cap
-                shard = next(
-                    s for s in preference if self._inflight.get(s, 0) < cap
-                )
+                shard = self._homes.get(key)
+                if shard is None and seed_key is not None:
+                    best = self._best_seed.get(seed_key)
+                    shard = owner if best is None else best[1]
+                if shard is None:
+                    m = sum(self._inflight.values()) + 1
+                    cap = math.ceil(
+                        (1 + PLACEMENT_EPSILON) * m / len(preference)
+                    )
+                    shard = next(
+                        (
+                            s for s in preference
+                            if (s == owner or s in up)
+                            and self._inflight.get(s, 0) < cap
+                        ),
+                        owner,
+                    )
+                elif shard not in up:
+                    shard = owner
                 self._inflight_keys[key] = [shard, 1]
             else:
                 shard = owner
@@ -1305,6 +1376,22 @@ class ShardedPartitionService:
                 running[1] -= 1
                 if not running[1]:
                     del self._inflight_keys[key]
+
+    def _note_answer(
+        self, request, digest: str, key: str, shard: int, result: JobResult
+    ) -> None:
+        """Remember that ``shard`` answered ``key``, and whether its
+        answer is now the best warm seed of its (graph, k, fitness): a
+        shard keeps an answer as its seed when it beats the one it
+        holds, as :class:`PartitionService` does."""
+        with self._load_lock:
+            _remember(self._homes, key, shard)
+            if isinstance(request, (PartitionRequest, RefineRequest)):
+                seed_key = (digest, request.n_parts, request.fitness_kind)
+                best = self._best_seed.get(seed_key)
+                if best is None or result.fitness > best[0]:
+                    best = (result.fitness, shard)
+                _remember(self._best_seed, seed_key, best)
 
     def _front_hit(
         self, request, digest: str, t0: float
@@ -1329,8 +1416,8 @@ class ShardedPartitionService:
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
         """A front hit is marked with the ring owner; a miss is placed
-        by bounded load (``warm_start`` misses stay on the owner, which
-        holds the warm seed) and marked with the shard that ran it."""
+        by bounded load (a ``warm_start`` miss runs where the best warm
+        seed is) and marked with the shard that ran it."""
         self._check_open()
         t0 = time.perf_counter()
         owner, digest = self._route(request)
@@ -1342,10 +1429,11 @@ class ShardedPartitionService:
             key, result = self._front_hit(request, digest, t0)
             shard = owner
             if result is None:
-                if getattr(request, "warm_start", False):
-                    shard = self._claim(owner)
-                else:
-                    shard = self._claim(owner, digest, key)
+                seed_key = (
+                    (digest, request.n_parts, request.fitness_kind)
+                    if getattr(request, "warm_start", False) else None
+                )
+                shard = self._claim(owner, digest, key, seed_key)
                 self.registry.inc(
                     "repro_placements_total",
                     placement="owner" if shard == owner else "spill",
@@ -1354,6 +1442,7 @@ class ShardedPartitionService:
                 try:
                     result = self._traced_call(span, shard, "submit", request)
                     self._answers.store(key, result)
+                    self._note_answer(request, digest, key, shard, result)
                 finally:
                     self._release(shard, key)
             span.set(cache_hit=result.cache_hit)
@@ -1367,10 +1456,12 @@ class ShardedPartitionService:
         self._check_open()
         results: list[Optional[JobResult]] = [None] * len(requests)
         keys: list[str] = [""] * len(requests)
+        digests: list[str] = [""] * len(requests)
         by_shard: dict[int, list[int]] = {}
         for i, request in enumerate(requests):
             t0 = time.perf_counter()
             shard, digest = self._route(request)
+            digests[i] = digest
             keys[i], cached = self._front_hit(request, digest, t0)
             if cached is not None:
                 results[i] = self._mark(cached, shard)
@@ -1389,6 +1480,9 @@ class ShardedPartitionService:
             out = self._pinned_call(span, shard, "submit_many", batch)
             for i, result in zip(members, out):
                 self._answers.store(keys[i], result)
+                self._note_answer(
+                    requests[i], digests[i], keys[i], shard, result
+                )
                 results[i] = self._mark(result, shard)
 
         with span:

@@ -1671,15 +1671,15 @@ class TestPlacement:
 
     def test_pinned_calls_stay_on_a_busy_owner(self, graph):
         """With the owner holding a call, a plain miss spills, but a
-        ``warm_start`` miss, a session's open and update, and a
-        ``submit_many`` batch all run on the owner."""
+        ``warm_start`` miss with no seed elsewhere, a session's open and
+        update, and a ``submit_many`` batch all run on the owner."""
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
             owner = svc.shard_of(graph)
             with _hold_submit(svc, graph) as hold:
-                spilled = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
-                assert spilled.shard != owner
                 warm = svc.submit(PartitionRequest(
                     graph, 4, seed=2, ga=GA, warm_start=True))
+                spilled = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+                assert spilled.shard != owner
                 opened = svc.open_session(graph, 4, seed=0, ga=GA)
                 update = insert_local_nodes(graph, 5, seed=7)
                 updated = svc.update_session(
@@ -1714,6 +1714,88 @@ class TestPlacement:
             assert spilled.shard != owner
             pinned = hold.result if verb == "open_session" else hold.result[0]
             assert pinned.shard == owner
+
+    def test_never_spills_to_a_down_shard(self, graph):
+        """A dead non-owner is no spill target: with the owner busy, a
+        second miss runs on the owner and returns one process's bits
+        instead of failing on the dead shard."""
+        request = PartitionRequest(graph, 4, seed=1, ga=GA)
+        with PartitionService(n_workers=1) as single:
+            want = single.submit(request)
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, auto_restart=False
+        ) as svc:
+            owner = svc.shard_of(graph)
+            svc._slots[1 - owner].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[1 - owner]["state"] == "down"
+            )
+            with _hold_submit(svc, graph) as hold:
+                got = svc.submit(request)
+            snap = svc.metrics()
+        assert hold.result.shard == got.shard == owner
+        assert np.array_equal(got.assignment, want.assignment)
+        assert (got.cut_size, got.fitness) == (want.cut_size, want.fitness)
+        assert _counter(snap, "repro_placements_total", placement="spill") == 0
+
+    def test_evicted_answers_repeat_on_the_shard_that_ran_them(self, graph):
+        """With room for one answer per cache, the front evicts answers
+        the shards still hold: each repeat goes back to the shard that
+        answered it, the busy owner included, and hits its cache."""
+        from repro.service.cache import _result_nbytes
+
+        requests = [PartitionRequest(graph, 4, seed=s, ga=GA) for s in (0, 1)]
+        with PartitionService(n_workers=1) as single:
+            want = [single.submit(r) for r in requests]
+        one = _result_nbytes(want[0])
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, cache_bytes=2 * (one * 3 // 2)
+        ) as svc:
+            owner = svc.shard_of(graph)
+            first = [svc.submit(requests[0])]
+            with _hold_submit(svc, graph):
+                first.append(svc.submit(requests[1]))  # spills
+                calls = _record_shard_calls(svc)
+                again = [svc.submit(requests[0])]
+            again.append(svc.submit(requests[1]))
+        assert [r.shard for r in first] == [owner, 1 - owner]
+        assert calls == [(owner, "submit", 1), (1 - owner, "submit", 1)]
+        assert [r.shard for r in again] == [owner, 1 - owner]
+        for got, ran, ref in zip(again, first, want):
+            assert got.cache_hit and not ran.cache_hit
+            for result in (got, ran):
+                assert np.array_equal(result.assignment, ref.assignment)
+                assert (result.cut_size, result.fitness) == (
+                    ref.cut_size, ref.fitness)
+
+    def test_warm_start_runs_where_the_best_seed_is(self, graph):
+        """A spilled miss leaves its warm seed on the shard that ran it:
+        a ``warm_start`` miss goes there and matches one process that
+        ran the same two requests.  Once that shard is down, the next
+        one runs on the owner."""
+        first = PartitionRequest(graph, 4, seed=1, ga=GA)
+        warm = PartitionRequest(graph, 4, seed=2, ga=GA, warm_start=True)
+        with PartitionService(n_workers=1) as single:
+            single.submit(first)
+            want = single.submit(warm)
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, auto_restart=False
+        ) as svc:
+            owner = svc.shard_of(graph)
+            with _hold_submit(svc, graph):
+                spilled = svc.submit(first)
+                got = svc.submit(warm)
+            svc._slots[spilled.shard].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[spilled.shard]["state"] == "down"
+            )
+            later = svc.submit(PartitionRequest(
+                graph, 4, seed=3, ga=GA, warm_start=True))
+        assert later.shard == owner
+        assert spilled.shard != owner
+        assert got.shard == spilled.shard
+        assert np.array_equal(got.assignment, want.assignment)
+        assert (got.cut_size, got.fitness) == (want.cut_size, want.fitness)
 
     def test_http_spill_without_the_graph_costs_one_409(self, graph):
         """A digest-only miss placed on a shard that never saw its graph
@@ -1772,24 +1854,17 @@ class TestPlacement:
 
     def test_load_counts_survive_contention(self):
         """8 threads claim and release placed misses (some with one
-        shared key) and pinned calls under a 1 µs switch interval: every
-        count returns to 0, which a lost update would break."""
+        shared key, some ``warm_start``) and pinned calls under a 1 µs
+        switch interval: every count returns to 0.  Then, three times, 8
+        threads note answers of rising fitness for one graph: its best
+        seed is the best noted.  A lost update would break either."""
         import sys
+        from types import SimpleNamespace
 
         digests = ["%032x" % (7919 * s) for s in range(4)]
-        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+        request = PartitionRequest(mesh_graph(48, seed=3), 4)
 
-            def worker(t: int) -> None:
-                for i in range(5000):
-                    digest = digests[(t + i) % len(digests)]
-                    owner = svc.ring.owner(digest)
-                    key = None if i % 3 == 0 else f"key-{i % 5}"
-                    shard = (
-                        svc._claim(owner) if key is None
-                        else svc._claim(owner, digest, key)
-                    )
-                    svc._release(shard, key)
-
+        def run(worker) -> None:
             threads = [
                 threading.Thread(target=worker, args=(t,)) for t in range(8)
             ]
@@ -1803,8 +1878,39 @@ class TestPlacement:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
+
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+
+            def place(t: int) -> None:
+                for i in range(5000):
+                    digest = digests[(t + i) % len(digests)]
+                    owner = svc.ring.owner(digest)
+                    key = None if i % 3 == 0 else f"key-{i % 5}"
+                    if key is None:
+                        shard = svc._claim(owner)
+                    else:
+                        seed_key = (
+                            (digest, 4, "fitness1") if i % 3 == 2 else None
+                        )
+                        shard = svc._claim(owner, digest, key, seed_key)
+                    svc._release(shard, key)
+
+            run(place)
             assert _inflight(svc) == {"0": 0.0, "1": 0.0}
             assert svc._inflight_keys == {}
+
+            for digest in digests[1:]:
+
+                def note(t: int, digest=digest) -> None:
+                    for i in range(5000):
+                        svc._note_answer(
+                            request, digest, f"key-{i % 5}", t % 2,
+                            SimpleNamespace(fitness=8.0 * i + t),
+                        )
+
+                run(note)
+                best = svc._best_seed[(digest, 4, "fitness1")]
+                assert best[0] == 8.0 * 4999 + 7
 
     def test_serial_stream_never_spills(self):
         """One request at a time never finds its owner at the cap: every
