@@ -245,7 +245,7 @@ def phase_http_replay(n_requests: int) -> dict:
         "session_p50_ms": stats["session_latency"].get("p50_ms"),
         "cache_hits": stats["cache"]["results"]["hits"],
         "cache_misses": stats["cache"]["results"]["misses"],
-        "graphs_interned": stats["cache"]["graphs"]["interned"],
+        "graphs_interned": stats["cache"]["graphs"]["hits"],
         "sessions": stats["sessions"],
     }
 

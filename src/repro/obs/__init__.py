@@ -25,47 +25,75 @@ results, seeds, or routing — the bit-identity tests assert it):
 lifecycle events (restart, death, re-attach, snapshot write/restore),
 carrying ``trace_id`` when in a request context.
 
-The unified metric families exported by the service layer:
+The metric families the service layer exports, one per row (the
+only metrics contract: ``/v1/stats`` is a view of these):
 
-========================================  =========  =======================
+========================================  =========  =========
 name                                      type       labels
-========================================  =========  =======================
+========================================  =========  =========
 repro_requests_total                      counter    endpoint
 repro_request_latency_ms                  histogram  endpoint
-repro_cache_hits_total / _misses_total /
-  _evictions_total                        counter    cache
-repro_cache_entries / _bytes /
-  _capacity_bytes                         gauge      cache
+repro_cache_hits_total                    counter    cache
+repro_cache_misses_total                  counter    cache
+repro_cache_evictions_total               counter    cache
+repro_cache_entries                       gauge      cache
+repro_cache_bytes                         gauge      cache
+repro_cache_capacity_bytes                gauge      cache
 repro_warm_seeds                          gauge      —
-repro_jobs_executed_total / _joined_
-  total / _process_total                  counter    —
-repro_groups_executed_total /
-  repro_group_members_total               counter    —
+repro_jobs_executed_total                 counter    —
+repro_jobs_joined_total                   counter    —
+repro_jobs_process_total                  counter    —
+repro_groups_executed_total               counter    —
+repro_group_members_total                 counter    —
 repro_inflight_jobs                       gauge      —
 repro_sessions_open                       gauge      —
-repro_sessions_opened_total / _closed_
-  total / _restored_total                 counter    —
+repro_sessions_opened_total               counter    —
+repro_sessions_closed_total               counter    —
+repro_sessions_restored_total             counter    —
 repro_session_updates_total               counter    —
 repro_session_epoch_max                   gauge      —
-repro_snapshots_written_total /
-  _write_failures_total / _restored_
-  total / _restore_failures_total         counter    —
+repro_snapshots_written_total             counter    —
+repro_snapshots_write_failures_total      counter    —
+repro_snapshots_restored_total            counter    —
+repro_snapshots_restore_failures_total    counter    —
+repro_writebehind_records_total           counter    —
+repro_writebehind_failures_total          counter    —
+repro_writebehind_compactions_total       counter    —
+repro_results_warmed_total                counter    —
 repro_ga_generations_total                counter    —
 repro_kernel_ms                           histogram  kernel
-repro_trace_spans_total / _ingested_
-  total / _sink_errors_total              counter    —
+repro_trace_spans_total                   counter    —
+repro_trace_spans_ingested_total          counter    —
+repro_trace_sink_errors_total             counter    —
 repro_shard_up                            gauge      shard
-repro_shard_deaths_total /
-  _restarts_total / _reattach_total       counter    shard
+repro_shard_deaths_total                  counter    shard
+repro_shard_restarts_total                counter    shard
+repro_shard_reattach_total                counter    shard
+repro_shard_inflight                      gauge      shard
+repro_shard_ejections_total               counter    shard
+repro_shard_readmissions_total            counter    shard
+repro_shard_probe_failures_total          counter    shard
+repro_placements_total                    counter    placement
+repro_ring_epoch                          gauge      —
+repro_ring_members                        gauge      —
+repro_ring_ownership_ratio                gauge      shard
+repro_ring_changes_total                  counter    —
 repro_sessions_routed_total               counter    —
-========================================  =========  =======================
+repro_sessions_handed_off_total           counter    —
+repro_http_connections_total              counter    —
+repro_http_connections_open               gauge      —
+repro_http_inflight_requests              gauge      —
+repro_http_pipeline_depth                 histogram  —
+========================================  =========  =========
 
 Behind a sharded front, a repeat the front answers from its own cache
 never reaches a shard: the front's registry counts it in
 ``repro_requests_total``, ``repro_request_latency_ms`` and
-``repro_cache_hits_total{cache="results"}``, and the shards count
-every request they see, so the merged snapshot counts each request
-once.
+``repro_cache_hits_total{cache="results"}``, and registers its answer
+cache's evictions, entries, bytes and capacity under the same label.
+The shards count every request they see, so the merged snapshot counts
+each request once.  The merge adds every series, except that gauges
+whose name ends in ``_max`` take the largest value.
 """
 
 from .hooks import (
@@ -81,8 +109,10 @@ from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     histogram_percentile,
+    latency_digest,
     merge_snapshots,
     render_prometheus,
+    stats_view,
 )
 from .trace import NULL_SPAN, Span, Tracer, span_tree
 
@@ -95,6 +125,8 @@ __all__ = [
     "DEFAULT_BUCKETS_MS",
     "MetricsRegistry",
     "merge_snapshots",
+    "latency_digest",
+    "stats_view",
     "render_prometheus",
     "histogram_percentile",
     "ExecRecorder",

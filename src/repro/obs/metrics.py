@@ -16,13 +16,17 @@ Series are sorted by ``(name, labels)`` so snapshots are stable, and
 ``+Inf`` overflow bucket as the last entry of ``counts``.
 
 Components integrate two ways: hot paths call :meth:`MetricsRegistry.
-inc`/:meth:`observe` directly, while existing ``stats()`` dicts are
+inc`/:meth:`observe` directly, while component ``stats()`` dicts are
 adapted via :meth:`counter_fn`/:meth:`gauge_fn` providers that are
 evaluated lazily at snapshot time — **outside** the registry lock, so
 the registry lock stays a leaf and never orders against component
-locks.  :func:`merge_snapshots` sums snapshots across shards and
+locks.  :func:`merge_snapshots` merges snapshots across shards and
 :func:`render_prometheus` emits the text exposition format served by
-``/v1/metrics``.
+``/v1/metrics``.  ``/v1/stats`` is a view of the same snapshot:
+:func:`stats_view` reads each of its fields from one metric family
+(:data:`STATS_SECTIONS`), and :func:`latency_digest` gives the
+per-endpoint percentiles both surfaces report, so the two can never
+disagree.
 
 Metric values are observational-only: nothing here flows back into
 results, seeds, or routing (asserted by the bit-identity tests).
@@ -39,7 +43,10 @@ __all__ = [
     "METRICS_SCHEMA",
     "DEFAULT_BUCKETS_MS",
     "MetricsRegistry",
+    "STATS_SECTIONS",
     "merge_snapshots",
+    "latency_digest",
+    "stats_view",
     "render_prometheus",
     "histogram_percentile",
 ]
@@ -126,6 +133,12 @@ class MetricsRegistry:
     def gauge_fn(self, name: str, fn: Callable[[], Sequence]) -> None:
         self._providers.append(("gauge", name, fn))
 
+    def provide(self, name: str, fn: Callable[[], Sequence]) -> None:
+        """A counter provider when ``name`` ends in ``_total``, else a
+        gauge provider."""
+        kind = "counter" if name.endswith("_total") else "gauge"
+        self._providers.append((kind, name, fn))
+
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         # evaluate providers first, with no lock held: they call into
@@ -184,9 +197,12 @@ def _series(entries: dict) -> list:
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Sum snapshots across shards: counters, gauges, and histogram
-    bucket counts add; histograms with mismatched bounds are kept
-    side-by-side under distinct labels rather than silently dropped."""
+    """Merge snapshots across shards: counters, gauges, and histogram
+    bucket counts add, except that a gauge whose name ends in ``_max``
+    (``repro_session_epoch_max``) takes the largest value, since a sum
+    of maxima is not a maximum.  Histograms with mismatched bounds are
+    kept side-by-side under distinct labels rather than silently
+    dropped."""
     counters: dict = {}
     gauges: dict = {}
     hists: dict = {}
@@ -196,11 +212,13 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
         for section, target in (("counters", counters), ("gauges", gauges)):
             for row in snap.get(section, ()):
                 key = (row["name"], _label_key(row["labels"]))
-                if key in target:
-                    labels, value = target[key]
-                    target[key] = (labels, value + float(row["value"]))
+                value = float(row["value"])
+                if key not in target:
+                    target[key] = (dict(row["labels"]), value)
+                elif section == "gauges" and row["name"].endswith("_max"):
+                    target[key] = (target[key][0], max(target[key][1], value))
                 else:
-                    target[key] = (dict(row["labels"]), float(row["value"]))
+                    target[key] = (target[key][0], target[key][1] + value)
         for row in snap.get("histograms", ()):
             key = (row["name"], _label_key(row["labels"]),
                    tuple(row.get("le", ())))
@@ -251,6 +269,122 @@ def histogram_percentile(hist: dict, quantile: float) -> Optional[float]:
         seen += n
         lower = upper
     return float(le[-1]) if le else None
+
+
+def _digest(hist: dict) -> dict:
+    out = {"count": int(hist["count"])}
+    if out["count"]:
+        for q in (50, 95, 99):
+            out[f"p{q}_ms"] = round(histogram_percentile(hist, q / 100), 3)
+    return out
+
+
+def latency_digest(snapshot: dict) -> dict:
+    """``{endpoint: {count, p50_ms, p95_ms, p99_ms}}`` of a snapshot's
+    ``repro_request_latency_ms`` histograms (the ``latency_ms`` key of
+    ``/v1/metrics``)."""
+    return {
+        hist["labels"].get("endpoint", ""): _digest(hist)
+        for hist in snapshot["histograms"]
+        if hist["name"] == "repro_request_latency_ms"
+    }
+
+
+#: The ``/v1/stats`` sections: each field reads one metric family
+#: (``_total`` families are counters, the others gauges), and services
+#: register their component ``stats()`` fields under these names.
+#: ``cache`` fields are read once per ``cache`` label (results, graphs).
+STATS_SECTIONS = {
+    "cache": (
+        ("hits", "repro_cache_hits_total"),
+        ("misses", "repro_cache_misses_total"),
+        ("evictions", "repro_cache_evictions_total"),
+        ("entries", "repro_cache_entries"),
+        ("bytes", "repro_cache_bytes"),
+        ("max_bytes", "repro_cache_capacity_bytes"),
+    ),
+    "scheduler": (
+        ("jobs_executed", "repro_jobs_executed_total"),
+        ("jobs_joined", "repro_jobs_joined_total"),
+        ("jobs_process", "repro_jobs_process_total"),
+        ("groups_executed", "repro_groups_executed_total"),
+        ("group_members", "repro_group_members_total"),
+    ),
+    "sessions": (
+        ("open", "repro_sessions_open"),
+        ("opened", "repro_sessions_opened_total"),
+        ("closed", "repro_sessions_closed_total"),
+        ("restored", "repro_sessions_restored_total"),
+        ("updates", "repro_session_updates_total"),
+    ),
+    "persistence": (
+        ("snapshots_written", "repro_snapshots_written_total"),
+        ("write_failures", "repro_snapshots_write_failures_total"),
+        ("restored", "repro_snapshots_restored_total"),
+        ("restore_failures", "repro_snapshots_restore_failures_total"),
+    ),
+    "write_behind": (
+        ("records_written", "repro_writebehind_records_total"),
+        ("write_failures", "repro_writebehind_failures_total"),
+        ("compactions", "repro_writebehind_compactions_total"),
+        ("results_warmed", "repro_results_warmed_total"),
+    ),
+}
+
+#: endpoints of the ``latency`` and ``session_latency`` digests
+_STATS_LATENCY = {
+    "latency": ("partition", "refine"),
+    "session_latency": ("open_session", "update_session"),
+}
+
+
+def stats_view(snapshot: dict) -> dict:
+    """The ``/v1/stats`` sections, read from one (possibly merged)
+    snapshot: ``cache.{results,graphs}``, ``scheduler`` and
+    ``sessions`` always, ``persistence`` and ``write_behind`` when the
+    snapshot holds their families, with counts as integers.
+    ``latency`` and ``session_latency`` digest the request-latency
+    histograms of their endpoints summed bucket by bucket (every
+    service observes them with :data:`DEFAULT_BUCKETS_MS`)."""
+    values = {
+        (row["name"], _label_key(row["labels"])): row["value"]
+        for kind in ("counters", "gauges")
+        for row in snapshot[kind]
+    }
+    names = {name for name, _ in values}
+
+    def section(name: str, **labels) -> dict:
+        key = _label_key(labels)
+        return {
+            field: int(values.get((family, key), 0))
+            for field, family in STATS_SECTIONS[name]
+        }
+
+    out: dict = {
+        "cache": {
+            cache: section("cache", cache=cache)
+            for cache in ("results", "graphs")
+        },
+    }
+    out["cache"]["graphs"]["warm_seeds"] = int(
+        values.get(("repro_warm_seeds", _label_key({})), 0)
+    )
+    out.update(scheduler=section("scheduler"), sessions=section("sessions"))
+    for name in ("persistence", "write_behind"):
+        if any(family in names for _, family in STATS_SECTIONS[name]):
+            out[name] = section(name)
+    for name, endpoints in _STATS_LATENCY.items():
+        rows = [
+            hist for hist in snapshot["histograms"]
+            if hist["name"] == "repro_request_latency_ms"
+            and hist["labels"].get("endpoint") in endpoints
+        ]
+        out[name] = _digest({
+            "le": rows[0]["le"] if rows else [],
+            "counts": [sum(c) for c in zip(*(r["counts"] for r in rows))],
+            "count": sum(r["count"] for r in rows),
+        })
+    return out
 
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")

@@ -172,11 +172,9 @@ class GraphStore:
 
     def __init__(self, max_bytes: int, max_seeds: int = 256) -> None:
         self._graphs = LRUBytesCache(max_bytes)
-        self._lock = threading.Lock()
         self._seeds_lock = threading.Lock()
         self._seeds: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.max_seeds = int(max_seeds)
-        self.interned = 0  # requests answered with an already-built CSR
 
     def intern(self, graph: CSRGraph) -> tuple[str, CSRGraph]:
         """``(digest, canonical_graph)`` — the returned graph is the
@@ -186,8 +184,6 @@ class GraphStore:
         digest = graph_digest(graph)
         resident = self._graphs.get(digest)
         if resident is not None:
-            with self._lock:
-                self.interned += 1
             return digest, resident
         graph.node_strengths()  # pre-warm: shared by every hot path
         graph.has_unit_edge_weights()
@@ -198,11 +194,7 @@ class GraphStore:
         """The resident graph named by ``digest``, or ``None``.  Never
         builds a graph: this is how a digest-only request finds its
         graph."""
-        resident = self._graphs.get(digest)
-        if resident is not None:
-            with self._lock:
-                self.interned += 1
-        return resident
+        return self._graphs.get(digest)
 
     # -- warm seed partitions ------------------------------------------
     @staticmethod
@@ -262,7 +254,6 @@ class GraphStore:
 
     def stats(self) -> dict:
         stats = self._graphs.stats()
-        stats["interned"] = self.interned
         with self._seeds_lock:
             stats["warm_seeds"] = len(self._seeds)
         return stats

@@ -44,7 +44,6 @@ convergence speed.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from typing import Optional, Sequence, Union
 
@@ -56,7 +55,12 @@ from ..ga.config import GAConfig
 from ..ga.fitness import make_fitness
 from ..graphs.csr import CSRGraph
 from ..obs.hooks import ExecRecorder, recording
-from ..obs.metrics import MetricsRegistry, histogram_percentile
+from ..obs.metrics import (
+    STATS_SECTIONS,
+    MetricsRegistry,
+    latency_digest,
+    stats_view,
+)
 from ..obs.trace import NULL_SPAN, Tracer
 from ..partition.partition import Partition
 from .cache import ContentStore, ShippedLRU, request_key
@@ -90,35 +94,6 @@ DEFAULT_GA_OVERRIDES = dict(
 )
 
 
-class _LatencyWindow:
-    """Bounded recent-latency sample with percentile readout."""
-
-    def __init__(self, maxlen: int = 4096) -> None:
-        self._lock = threading.Lock()
-        self._samples: list[float] = []
-        self._maxlen = maxlen
-        self.count = 0
-
-    def add(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self._samples.append(seconds)
-            if len(self._samples) > self._maxlen:
-                del self._samples[: self._maxlen // 2]
-
-    def percentiles(self) -> dict:
-        with self._lock:
-            if not self._samples:
-                return {"count": self.count}
-            arr = np.asarray(self._samples)
-        return {
-            "count": self.count,
-            "p50_ms": round(float(np.percentile(arr, 50)) * 1e3, 3),
-            "p95_ms": round(float(np.percentile(arr, 95)) * 1e3, 3),
-            "max_ms": round(float(arr.max()) * 1e3, 3),
-        }
-
-
 class PartitionService:
     """The partition-as-a-service engine room (see module docstring).
 
@@ -141,8 +116,6 @@ class PartitionService:
             config.n_workers, process_workers=config.process_workers
         )
         self.sessions = SessionManager(config.max_sessions)
-        self.latency = _LatencyWindow()
-        self.session_latency = _LatencyWindow()
         # observability plane (repro.obs): spans + the unified metrics
         # registry.  Strictly observational — nothing recorded here may
         # flow into results, seeds, or routing.
@@ -194,8 +167,9 @@ class PartitionService:
 
     def _register_metrics(self) -> None:
         """Register snapshot-time providers mapping the subsystem
-        ``stats()`` dicts onto the unified metric families documented in
-        :mod:`repro.obs` — one schema over the legacy shapes."""
+        ``stats()`` dicts onto the metric families documented in
+        :mod:`repro.obs`: each field feeds the family
+        :data:`~repro.obs.metrics.STATS_SECTIONS` names for it."""
         reg = self.registry
 
         def cache_series(field):
@@ -208,18 +182,8 @@ class PartitionService:
 
             return provide
 
-        for field, metric in (
-            ("hits", "repro_cache_hits_total"),
-            ("misses", "repro_cache_misses_total"),
-            ("evictions", "repro_cache_evictions_total"),
-        ):
-            reg.counter_fn(metric, cache_series(field))
-        for field, metric in (
-            ("entries", "repro_cache_entries"),
-            ("bytes", "repro_cache_bytes"),
-            ("max_bytes", "repro_cache_capacity_bytes"),
-        ):
-            reg.gauge_fn(metric, cache_series(field))
+        for field, metric in STATS_SECTIONS["cache"]:
+            reg.provide(metric, cache_series(field))
         reg.gauge_fn(
             "repro_warm_seeds",
             lambda: [({}, float(self.store.stats()["graphs"]["warm_seeds"]))],
@@ -228,51 +192,27 @@ class PartitionService:
         def scalar(stats_fn, field):
             return lambda: [({}, float(stats_fn()[field]))]
 
-        for field, metric in (
-            ("jobs_executed", "repro_jobs_executed_total"),
-            ("jobs_joined", "repro_jobs_joined_total"),
-            ("jobs_process", "repro_jobs_process_total"),
-            ("groups_executed", "repro_groups_executed_total"),
-            ("group_members", "repro_group_members_total"),
-        ):
-            reg.counter_fn(metric, scalar(self.scheduler.stats, field))
+        sources = {
+            "scheduler": self.scheduler.stats,
+            "sessions": self.sessions.stats,
+        }
+        if self.persistence is not None:
+            sources["persistence"] = self.persistence.stats
+        if self.write_behind is not None:
+            sources["write_behind"] = lambda: dict(
+                self.write_behind.stats(), results_warmed=self._results_warmed
+            )
+        for section, stats_fn in sources.items():
+            for field, metric in STATS_SECTIONS[section]:
+                reg.provide(metric, scalar(stats_fn, field))
         reg.gauge_fn(
             "repro_inflight_jobs",
             lambda: [({}, float(self.scheduler.queue_depth()))],
-        )
-        for field, metric in (
-            ("opened", "repro_sessions_opened_total"),
-            ("closed", "repro_sessions_closed_total"),
-            ("restored", "repro_sessions_restored_total"),
-            ("updates", "repro_session_updates_total"),
-        ):
-            reg.counter_fn(metric, scalar(self.sessions.stats, field))
-        reg.gauge_fn(
-            "repro_sessions_open", scalar(self.sessions.stats, "open")
         )
         reg.gauge_fn(
             "repro_session_epoch_max",
             lambda: [({}, float(self.sessions.epoch_summary()["max_epoch"]))],
         )
-        if self.persistence is not None:
-            for field, metric in (
-                ("snapshots_written", "repro_snapshots_written_total"),
-                ("write_failures", "repro_snapshots_write_failures_total"),
-                ("restored", "repro_snapshots_restored_total"),
-                ("restore_failures", "repro_snapshots_restore_failures_total"),
-            ):
-                reg.counter_fn(metric, scalar(self.persistence.stats, field))
-        if self.write_behind is not None:
-            for field, metric in (
-                ("records_written", "repro_writebehind_records_total"),
-                ("write_failures", "repro_writebehind_failures_total"),
-                ("compactions", "repro_writebehind_compactions_total"),
-            ):
-                reg.counter_fn(metric, scalar(self.write_behind.stats, field))
-            reg.counter_fn(
-                "repro_results_warmed_total",
-                lambda: [({}, float(self._results_warmed))],
-            )
         for field, metric in (
             ("spans_recorded", "repro_trace_spans_total"),
             ("spans_ingested", "repro_trace_spans_ingested_total"),
@@ -334,7 +274,6 @@ class PartitionService:
             span.close()
             raise
         latency = time.perf_counter() - t0
-        self.latency.add(latency)
         result.latency_s = latency
         result.request_key = key
         span.set(
@@ -378,7 +317,6 @@ class PartitionService:
             if cached is not None:
                 cached.latency_s = time.perf_counter() - item_t0
                 cached.request_key = key
-                self.latency.add(cached.latency_s)
                 self._observe_request(
                     "refine" if isinstance(request, RefineRequest)
                     else "partition",
@@ -421,7 +359,6 @@ class PartitionService:
             for i, key, result in zip(members, keys, group_results):
                 result.latency_s = group_s
                 result.request_key = key
-                self.latency.add(result.latency_s)
                 self._observe_request("refine", group_s)
                 results[i] = result
 
@@ -531,7 +468,6 @@ class PartitionService:
             span.close()
             raise
         latency = time.perf_counter() - t0
-        self.session_latency.add(latency)
         span.set(session_id=session.id)
         span.close()
         self._observe_request("open_session", latency)
@@ -608,7 +544,6 @@ class PartitionService:
             span.close()
             raise
         latency = time.perf_counter() - t0
-        self.session_latency.add(latency)
         result.latency_s = latency
         span.close()
         self._observe_request("update_session", latency)
@@ -762,40 +697,16 @@ class PartitionService:
     # stats / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        out = {
-            "cache": self.store.stats(),
-            "scheduler": self.scheduler.stats(),
-            "sessions": self.sessions.stats(),
-            "latency": self.latency.percentiles(),
-            "session_latency": self.session_latency.percentiles(),
-        }
-        if self.persistence is not None:
-            out["persistence"] = self.persistence.stats()
-        if self.write_behind is not None:
-            out["write_behind"] = dict(
-                self.write_behind.stats(),
-                results_warmed=self._results_warmed,
-            )
-        return out
+        """The ``/v1/stats`` sections: a view of the registry snapshot
+        (:func:`~repro.obs.metrics.stats_view`)."""
+        return stats_view(self.registry.snapshot())
 
     def metrics(self) -> dict:
         """The unified observability snapshot (see :mod:`repro.obs`):
-        the metrics-registry series plus a ``latency_ms`` digest of
-        per-endpoint request-latency percentiles derived from the
-        ``repro_request_latency_ms`` histograms."""
+        the metrics-registry series plus the per-endpoint ``latency_ms``
+        digest (:func:`~repro.obs.metrics.latency_digest`)."""
         snap = self.registry.snapshot()
-        digest: dict = {}
-        for hist in snap["histograms"]:
-            if hist["name"] != "repro_request_latency_ms":
-                continue
-            endpoint = hist["labels"].get("endpoint", "")
-            digest[endpoint] = {
-                "count": hist["count"],
-                "p50_ms": round(histogram_percentile(hist, 0.50), 3),
-                "p95_ms": round(histogram_percentile(hist, 0.95), 3),
-                "p99_ms": round(histogram_percentile(hist, 0.99), 3),
-            }
-        snap["latency_ms"] = digest
+        snap["latency_ms"] = latency_digest(snap)
         return snap
 
     def close(self) -> None:

@@ -22,8 +22,10 @@ path                  method  body / response
                               ga}`` → result with ``session_id``
 ``/v1/session/update``  POST  :class:`UpdateRequest` payload → result
 ``/v1/session/close`` POST    ``{session_id}`` → session summary
-``/v1/stats``         GET     service counters (cache, scheduler,
-                              sessions, latency percentiles)
+``/v1/stats``         GET     a view of the ``/v1/metrics`` snapshot:
+                              cache, scheduler, sessions and latency
+                              sections (a sharded front adds its ring
+                              and per-shard health)
 ``/v1/metrics``       GET     unified :mod:`repro.obs` snapshot — JSON
                               by default; Prometheus text exposition
                               with ``?format=prometheus`` (or an

@@ -456,12 +456,10 @@ class SessionPersistence:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "dir": str(self.store.root),
                 "snapshots_written": self.snapshots_written,
                 "write_failures": self.write_failures,
                 "restored": self.restored,
                 "restore_failures": self.restore_failures,
-                "interval_s": self.interval_s,
             }
 
 
@@ -555,11 +553,9 @@ class ResultWriteBehind:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "journal": str(self.path),
                 "records_written": self.records_written,
                 "write_failures": self.write_failures,
                 "compactions": self.compactions,
-                "journal_bytes": self._bytes,
             }
 
     def close(self) -> None:

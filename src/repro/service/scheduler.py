@@ -183,10 +183,6 @@ class CoalescingScheduler:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "workers": self.pool.n_slots,
-                "process_workers": (
-                    0 if self.process_pool is None else self.process_pool.n_slots
-                ),
                 "jobs_executed": self.jobs_executed,
                 "jobs_joined": self.jobs_joined,
                 "jobs_process": self.jobs_process,

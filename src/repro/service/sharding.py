@@ -31,12 +31,14 @@ the size of each shard's result half) keyed by the shards' own
 ``cache_hit`` copy marked with the ring owner's index and touches no
 transport, and every shard reply is stored.  The front counts each hit
 once for the fleet (``repro_cache_hits_total``,
-``repro_requests_total``, ``repro_request_latency_ms``, the ``stats()``
-totals); misses are counted by the shard that looks them up.  The
-shard caches still serve what the front cannot: repeats the front LRU
-has evicted, a new front attached to shard servers that outlived the
-old one, the in-flight join of identical concurrent misses, and the
-write-behind journal.  Session verbs never touch the front cache.
+``repro_requests_total``, ``repro_request_latency_ms``) and registers
+its LRU's size and evictions under ``cache="results"``, so the merged
+snapshot and the ``stats()`` view of it cover every result cache;
+misses are counted by the shard that looks them up.  The shard caches
+still serve what the front cannot: repeats the front LRU has evicted,
+a new front attached to shard servers that outlived the old one, the
+in-flight join of identical concurrent misses, and the write-behind
+journal.  Session verbs never touch the front cache.
 
 A ``submit`` miss is placed by bounded load (Mirrokni, Thorup &
 Zadimoghaddam, "Consistent Hashing with Bounded Loads", SODA 2018,
@@ -151,7 +153,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import re
 import tempfile
 import threading
 import time
@@ -163,9 +164,11 @@ from ..errors import ServiceError, ShardDiedError, UnknownSession
 from ..graphs.csr import CSRGraph
 from ..obs.logs import get_logger
 from ..obs.metrics import (
+    STATS_SECTIONS,
     MetricsRegistry,
-    histogram_percentile,
+    latency_digest,
     merge_snapshots,
+    stats_view,
 )
 from ..obs.trace import Tracer
 from .cache import ResultCache, graph_digest, request_key
@@ -214,45 +217,6 @@ def _remember(memory: OrderedDict, key, value) -> None:
     memory[key] = value
     if len(memory) > PLACEMENT_MEMORY:
         memory.popitem(last=False)
-
-
-#: percentile-style stats keys that cannot meaningfully sum across
-#: shards — the fleet aggregate takes their max instead
-_STATS_MAX_RE = re.compile(r"^(p\d+_ms|max_ms)$")
-
-
-def _merge_stats(rows: Sequence[dict]) -> dict:
-    """Fleet aggregate of per-shard ``stats()`` rows.
-
-    Numeric leaves sum key-by-key (percentile keys take the max — a sum
-    of p95s is meaningless), nested dicts merge recursively, and keys
-    missing from some rows still aggregate over the rows that have them
-    — previously those were silently dropped on the caller's floor.
-    Unavailable-shard placeholders and non-numeric leaves are skipped.
-    """
-    out: dict = {}
-    merged_rows = 0
-    for row in rows:
-        if not isinstance(row, dict) or "unavailable" in row:
-            continue
-        merged_rows += 1
-        _merge_stats_into(out, row)
-    out["shards_reporting"] = merged_rows
-    return out
-
-
-def _merge_stats_into(target: dict, row: dict) -> None:
-    for key, value in row.items():
-        if isinstance(value, dict):
-            sub = target.setdefault(key, {})
-            if isinstance(sub, dict):
-                _merge_stats_into(sub, value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue  # strings (snapshot dirs), lists, None
-        elif _STATS_MAX_RE.match(key):
-            target[key] = max(target.get(key, value), value)
-        else:
-            target[key] = target.get(key, 0) + value
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +276,6 @@ def _serve_shard(transport: ShardTransport, service) -> None:
                 out = service.update_session(args[0], trace=tc)
             elif verb == "close_session":
                 out = service.close_session(args[0])
-            elif verb == "stats":
-                out = service.stats()
             elif verb == "metrics":
                 out = service.metrics()
             elif verb == "list_sessions":
@@ -363,10 +325,10 @@ def _serve_shard(transport: ShardTransport, service) -> None:
                 pass
 
     # two lanes: data verbs (GA work, may block for seconds) and
-    # control verbs (stats / close_session, expected to answer fast).
-    # A shared pool would let a burst of long submits queue a stats or
-    # close behind GA runs — the very blocking the overlapped-session
-    # work removed from the single-process path.
+    # control verbs (metrics / close_session, expected to answer fast).
+    # A shared pool would let a burst of long submits queue a metrics
+    # read or close behind GA runs — the very blocking the
+    # overlapped-session work removed from the single-process path.
     pool = ThreadPoolExecutor(
         max_workers=service.config.n_workers + 2,
         thread_name_prefix="shard-req",
@@ -388,8 +350,8 @@ def _serve_shard(transport: ShardTransport, service) -> None:
             tc = msg[3] if len(msg) == 4 else None
             lane = (
                 control
-                if verb in ("stats", "metrics", "close_session",
-                            "list_sessions", "ping")
+                if verb in ("metrics", "close_session", "list_sessions",
+                            "ping")
                 else pool
             )
             lane.submit(handle, req_id, verb, args, tc)
@@ -907,9 +869,10 @@ class ShardedPartitionService:
     # fleet plumbing
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
-        """Front-local metric families (see :mod:`repro.obs`): shard
-        supervision gauges and the front tracer's counters.  Per-request
-        families come from the shards and are merged in :meth:`metrics`."""
+        """Front-local metric families (see :mod:`repro.obs`): the
+        answer cache, shard supervision, placement and ring gauges, and
+        the front tracer's counters.  The other per-request families
+        come from the shards and are merged in :meth:`metrics`."""
         reg = self.registry
 
         def shard_up():
@@ -934,12 +897,18 @@ class ShardedPartitionService:
                 for slot, share in sorted(shares.items())
             ]
 
-        # a repeat answered here is counted once, here: the shards never
-        # see it.  A miss is counted by the shard that looks it up.
-        reg.counter_fn(
-            "repro_cache_hits_total",
-            lambda: [({"cache": "results"}, float(self._answers.hits))],
-        )
+        # the answer cache counts under cache="results" beside the
+        # shards' result caches.  A repeat answered here is counted
+        # once, here: the shards never see it.  A miss is counted by the
+        # shard that looks it up, so the front registers no misses.
+        def answers(field):
+            return lambda: [
+                ({"cache": "results"}, float(self._answers.stats()[field]))
+            ]
+
+        for field, metric in STATS_SECTIONS["cache"]:
+            if field != "misses":
+                reg.provide(metric, answers(field))
 
         def inflight():
             with self._load_lock:
@@ -1127,7 +1096,7 @@ class ShardedPartitionService:
         restart (bounded by ``restart_wait_s``) and lazily reconnecting
         attached shards.  ``wait=False`` never blocks and never
         reconnects: a slot that is not up raises immediately (the
-        stats path, which must answer mid-crash)."""
+        metrics path, which must answer mid-crash)."""
         deadline = time.monotonic() + self._restart_wait_s
         reconnect = None
         with self._fleet_lock:
@@ -1544,53 +1513,29 @@ class ShardedPartitionService:
         return summary
 
     def stats(self) -> dict:
-        self._check_open()
-        with self._session_lock:
-            routed = len(self._session_shard)
-        health = self.shard_health()
-        shards = []
-        for entry in health:
-            # never enter the restart wait (or a reconnect) from stats:
-            # an operator polling the front mid-crash must get an
-            # answer now, with the affected shard reported unavailable,
-            # not a response stalled for up to restart_wait_s per shard
-            try:
-                handle = self._shard_handle(entry["shard"], wait=False)
-                shards.append(handle.call("stats"))
-            except ShardDiedError as exc:
-                shards.append({"unavailable": str(exc)})
-        # a repeat the front answered never reached a shard: the front
-        # adds it to the totals as a request and a result-cache hit
-        front = self._answers.stats()
-        totals = _merge_stats(shards)
-        _merge_stats_into(totals, {
-            "cache": {"results": {"hits": front["hits"]}},
-            "latency": {"count": front["hits"]},
-        })
-        return {
-            "n_shards": self.n_shards,
-            "sessions_routed": routed,
-            "ring": self.ring.describe(),
-            "health": health,
-            "front_cache": front,
-            "shards": shards,
-            # fleet aggregate: before this existed, callers had to sum
-            # the raw per-shard rows themselves and quietly lost any key
-            # not present on every row (mixed configs, unavailable
-            # shards) — the merge rules live in _merge_stats
-            "totals": totals,
-        }
+        """The ``/v1/stats`` view of the fleet's :meth:`metrics`
+        snapshot (:func:`~repro.obs.metrics.stats_view`), plus
+        ``n_shards``, ``shards_reporting`` and :meth:`ring_status`."""
+        snap = self.metrics()
+        return dict(
+            stats_view(snap),
+            n_shards=snap["n_shards"],
+            shards_reporting=snap["shards_reporting"],
+            **self.ring_status(),
+        )
 
     def metrics(self) -> dict:
         """One :data:`~repro.obs.metrics.METRICS_SCHEMA` snapshot for
-        the fleet: every reachable shard's registry merged (counters and
-        histogram buckets sum) with the front's own supervision metrics,
-        plus the per-endpoint ``latency_ms`` percentile digest.  Shards
-        that are down mid-crash are skipped and counted in
-        ``shards_reporting``."""
+        the fleet: every reachable shard's registry merged with the
+        front's own (answer cache, supervision and placement metrics),
+        plus the per-endpoint ``latency_ms`` digest.  Shards that are
+        down mid-crash are skipped and counted in ``shards_reporting``."""
         self._check_open()
         snapshots = []
         for entry in self.shard_health():
+            # never enter the restart wait (or a reconnect) from here:
+            # an operator polling the front mid-crash must get an answer
+            # now, not one stalled for up to restart_wait_s per shard
             try:
                 handle = self._shard_handle(entry["shard"], wait=False)
                 snapshots.append(handle.call("metrics"))
@@ -1599,18 +1544,7 @@ class ShardedPartitionService:
         reporting = len(snapshots)
         snapshots.append(self.registry.snapshot())
         merged = merge_snapshots(snapshots)
-        digest: dict = {}
-        for hist in merged["histograms"]:
-            if hist["name"] != "repro_request_latency_ms":
-                continue
-            endpoint = hist["labels"].get("endpoint", "")
-            digest[endpoint] = {
-                "count": hist["count"],
-                "p50_ms": round(histogram_percentile(hist, 0.50), 3),
-                "p95_ms": round(histogram_percentile(hist, 0.95), 3),
-                "p99_ms": round(histogram_percentile(hist, 0.99), 3),
-            }
-        merged["latency_ms"] = digest
+        merged["latency_ms"] = latency_digest(merged)
         merged["n_shards"] = self.n_shards
         merged["shards_reporting"] = reporting
         return merged

@@ -21,7 +21,7 @@ import pytest
 
 from repro import partition_graph
 from repro.analysis import LockWitness, extract_lock_graph
-from repro.errors import ShardDiedError
+from repro.errors import ServiceError, ShardDiedError
 from repro.ga import Fitness1, GAConfig, GAEngine, UniformCrossover
 from repro.graphs import mesh_graph
 from repro.incremental.updates import insert_local_nodes
@@ -207,6 +207,8 @@ class TestMetricsRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         for reg, n in ((a, 3), (b, 5)):
             reg.inc("repro_requests_total", n, endpoint="partition")
+            reg.set_gauge("repro_sessions_open", n)
+            reg.set_gauge("repro_session_epoch_max", n)
             for _ in range(n):
                 reg.observe(
                     "repro_request_latency_ms", 10.0, endpoint="partition"
@@ -214,6 +216,9 @@ class TestMetricsRegistry:
         merged = merge_snapshots([a.snapshot(), b.snapshot(), {"extra": 1}])
         assert _metric(merged, "counters", "repro_requests_total",
                        endpoint="partition") == 8
+        # gauges add, except a _max gauge, which takes the largest
+        assert _metric(merged, "gauges", "repro_sessions_open") == 8
+        assert _metric(merged, "gauges", "repro_session_epoch_max") == 5
         (hist,) = merged["histograms"]
         assert hist["count"] == 8
         p50 = histogram_percentile(hist, 0.5)
@@ -637,11 +642,10 @@ class TestShardedTracing:
             assert _metric(snap, "gauges", "repro_shard_up",
                            shard=str(index)) == 1.0
         assert "partition" in snap["latency_ms"]
-        # stats() keeps the legacy per-shard rows and adds the merge
-        totals = stats["totals"]
-        assert totals["shards_reporting"] == 2
-        assert totals["scheduler"]["jobs_executed"] == 2
-        assert totals["sessions"]["open"] == 0
+        # stats() is the view of the merged snapshot
+        assert stats["shards_reporting"] == 2
+        assert stats["scheduler"]["jobs_executed"] == 2
+        assert stats["sessions"]["open"] == 0
         assert health[0]["state"] == "up"
 
     def test_deaths_and_restarts_are_counted(self, graph):
@@ -685,6 +689,139 @@ class TestMetricsEndpoint:
             server.service.close()
             server.shutdown()
             server.server_close()
+
+
+# ----------------------------------------------------------------------
+# /v1/stats: a view of the metrics registry
+# ----------------------------------------------------------------------
+
+def _service(shards: int):
+    if shards:
+        return ShardedPartitionService(n_shards=shards, n_workers=1)
+    return PartitionService(n_workers=1)
+
+
+class TestStatsView:
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_stats_agrees_with_metrics(self, graph, shards):
+        """After a few misses and many hits (front hits behind the
+        2-shard front, which no shard sees), ``stats()`` reads the same
+        latency digest and result-cache hits as ``metrics()``."""
+        requests = [
+            PartitionRequest(graph, 4, seed=seed, ga=GA) for seed in range(3)
+        ]
+        with _service(shards) as svc:
+            for request in requests:
+                svc.submit(request)
+            for _ in range(100):
+                for request in requests:
+                    assert svc.submit(request).cache_hit
+            snap = svc.metrics()
+            stats = svc.stats()
+        digest = snap["latency_ms"]["partition"]
+        assert digest["count"] == 303
+        assert stats["latency"]["count"] == digest["count"]
+        assert stats["latency"]["p50_ms"] == digest["p50_ms"]
+        hits = _metric(
+            snap, "counters", "repro_cache_hits_total", cache="results"
+        )
+        assert stats["cache"]["results"]["hits"] == hits == 300
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_http_stats_sections_and_integer_counts(self, graph, shards):
+        server = serve(port=0, background=True, shards=shards, n_workers=1)
+        host, port = server.server_address[:2]
+        client = HTTPServiceClient(f"http://{host}:{port}")
+        try:
+            client.partition(graph, 4, seed=0, ga=GA)
+            client.partition(graph, 4, seed=0, ga=GA)
+            stats = client.stats()
+        finally:
+            client.close()
+            server.service.close()
+            server.shutdown()
+            server.server_close()
+        counted = ["scheduler", "sessions"]
+        expected = set(counted) | {"cache", "latency", "session_latency"}
+        if shards:
+            # local shards keep snapshots and a result journal
+            counted += ["persistence", "write_behind"]
+            expected |= {"persistence", "write_behind", "n_shards",
+                         "shards_reporting", "ring", "health"}
+            assert stats["n_shards"] == stats["shards_reporting"] == 2
+        assert set(stats) == expected
+        rows = [stats[name] for name in counted]
+        rows += [stats["cache"]["results"], stats["cache"]["graphs"]]
+        assert all(type(v) is int for row in rows for v in row.values())
+        assert stats["cache"]["results"]["hits"] == 1
+        assert stats["latency"]["count"] == 2
+        assert set(stats["latency"]) == {"count", "p50_ms", "p95_ms", "p99_ms"}
+        assert stats["session_latency"] == {"count": 0}
+
+    def test_fleet_epoch_max_is_a_max(self):
+        """Two shards that each hold a session at epoch 3 report 3."""
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            owned = {}
+            for seed in range(1, 50):
+                mesh = mesh_graph(48, seed=seed)
+                owned.setdefault(svc.shard_of(mesh), mesh)
+                if len(owned) == 2:
+                    break
+            for mesh in owned.values():
+                opened = svc.open_session(mesh, 4, seed=0, ga=GA)
+                for step in range(3):
+                    mesh = insert_local_nodes(mesh, 3, seed=step).graph
+                    svc.update_session(UpdateRequest(opened.session_id, mesh))
+            snap = svc.metrics()
+        assert len(owned) == 2
+        assert _metric(snap, "gauges", "repro_session_epoch_max") == 3
+
+    def test_stats_shard_verb_is_unknown(self):
+        """The front reads shard ``metrics``; a ``stats`` call from an
+        older front gets the unknown-verb error."""
+        with ShardedPartitionService(n_shards=1, n_workers=1) as svc:
+            with pytest.raises(ServiceError, match="unknown shard verb"):
+                svc._call(0, "stats")
+
+
+class TestMetricFamilyTable:
+    """The family table in ``repro.obs`` is the metrics contract: it
+    names exactly the ``"repro_…"`` literals ``src/repro`` registers."""
+
+    @staticmethod
+    def _table() -> dict:
+        import repro.obs
+
+        rows = {}
+        for line in repro.obs.__doc__.splitlines():
+            parts = line.split()
+            if parts and parts[0].startswith("repro_"):
+                rows[parts[0]] = parts[1]
+        return rows
+
+    def test_table_matches_registered_literals(self):
+        import ast
+        import re
+
+        import repro
+
+        family = re.compile(r"repro_[a-z0-9_]+")
+        literals = set()
+        root = Path(repro.__file__).resolve().parent
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and family.fullmatch(node.value)
+                ):
+                    literals.add(node.value)
+        assert set(self._table()) == literals
+
+    def test_counters_and_only_counters_end_in_total(self):
+        """``MetricsRegistry.provide`` picks the kind by this suffix."""
+        for name, kind in self._table().items():
+            assert name.endswith("_total") == (kind == "counter"), name
 
 
 # ----------------------------------------------------------------------

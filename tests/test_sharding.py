@@ -192,11 +192,8 @@ class TestShardedService:
             svc.submit(PartitionRequest(graph, 4, method="greedy"))
             stats = svc.stats()
             assert stats["n_shards"] == 2
-            assert len(stats["shards"]) == 2
-            executed = sum(
-                s["scheduler"]["jobs_executed"] for s in stats["shards"]
-            )
-            assert executed == 1
+            assert stats["shards_reporting"] == 2
+            assert stats["scheduler"]["jobs_executed"] == 1
 
     def test_http_serve_with_shards(self, graph):
         """End-to-end: the HTTP frontend drives a sharded service."""
@@ -1418,7 +1415,7 @@ class TestFrontCache:
 
     def test_one_hit_one_miss_counted_once(self, graph):
         """Over HTTP, a miss then its repeat: /v1/metrics and the
-        stats() totals each show exactly one result-cache hit, one
+        stats() view of it each show exactly one result-cache hit, one
         miss and two requests, across the front and both shards."""
         from repro.service import HTTPServiceClient, serve
 
@@ -1430,6 +1427,7 @@ class TestFrontCache:
             client.partition(graph, 4, seed=0, ga=GA)
             snap = client.metrics()
             stats = client.stats()
+            front = server.service._answers.stats()
         finally:
             client.close()
             server.service.close()
@@ -1441,15 +1439,12 @@ class TestFrontCache:
         assert _counter(
             snap, "repro_requests_total", endpoint="partition") == 2
         assert snap["latency_ms"]["partition"]["count"] == 2
-        totals = stats["totals"]
-        assert totals["cache"]["results"]["hits"] == 1
-        assert totals["cache"]["results"]["misses"] == 1
-        assert totals["latency"]["count"] == 2
-        front = stats["front_cache"]
+        assert stats["cache"]["results"]["hits"] == 1
+        assert stats["cache"]["results"]["misses"] == 1
+        assert stats["latency"]["count"] == 2
         assert front["entries"] == 1 and front["hits"] == 1
-        assert sum(
-            row["cache"]["results"]["hits"] for row in stats["shards"]
-        ) == 0
+        # the one hit is the front LRU's: no shard answered from cache
+        assert stats["cache"]["results"]["hits"] == front["hits"]
 
     def test_front_hit_is_one_traced_span(self, graph):
         ctx = {"trace_id": "ef" * 8, "span_id": "01" * 4}
@@ -1478,7 +1473,9 @@ class TestFrontCache:
         ) as svc:
             first = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
-            assert svc.stats()["front_cache"]["evictions"] == 1
+            # one eviction in the front LRU, one in the owner's cache
+            assert svc._answers.stats()["evictions"] == 1
+            assert svc.stats()["cache"]["results"]["evictions"] == 2
             calls = _record_shard_calls(svc)
             again = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             assert calls == [(svc.shard_of(graph), "submit", 1)]
@@ -1660,7 +1657,7 @@ class TestPlacement:
             _before_calls(svc, lambda *_: both_placed.wait())
             with ThreadPoolExecutor(max_workers=2) as pool:
                 out = list(pool.map(svc.submit, [request, request]))
-            scheduler = svc.stats()["totals"]["scheduler"]
+            scheduler = svc.stats()["scheduler"]
             spills = _counter(
                 svc.metrics(), "repro_placements_total", placement="spill")
         assert scheduler["jobs_executed"] == 1
