@@ -22,15 +22,15 @@ Four phases, all deterministic:
    dknux requests is driven concurrently against (a) one
    single-process service with ``--scaling-shards`` worker threads and
    (b) a digest-sharded :class:`ShardedPartitionService` of the same
-   width, plus (c) the single-process service again with its
-   process-pool execution lane.  Every sharded/process answer must be
-   bit-identical to the single-process one, and the sharded front must
-   have placed at least one miss off its ring owner
-   (``sharded_spills``), so the identity covers placement; aggregate sharded
-   throughput must beat single-process by ``--min-shard-speedup``
-   (default 2x) **when the machine has ≥ 4 cores** — on fewer cores
-   the number is recorded and the gate reported as skipped, since a
-   process can't out-parallel a thread without cores to run on.
+   width — shards are the service's one way to use more cores.  Every
+   sharded answer must be bit-identical to the single-process one, and
+   the sharded front must have placed at least one miss off its ring
+   owner (``sharded_spills``), so the identity covers placement;
+   aggregate sharded throughput must beat single-process by
+   ``--min-shard-speedup`` (default 2x) **when the machine has ≥ 4
+   cores** — on fewer cores the number is recorded and the gate
+   reported as skipped, since a process can't out-parallel a thread
+   without cores to run on.
 4. **Failover smoke** (PR 5) — a 2-shard fleet serves a replayed
    mixed trace while one shard is killed mid-traffic.  The driver
    retries :class:`ShardDiedError` (the fail-fast answer for requests
@@ -281,13 +281,12 @@ def _drive(service, requests, width: int) -> tuple[float, list]:
 def phase_scaling(
     shards: int, n_requests: int
 ) -> dict:
-    """Sharded + process-mode throughput vs one single-process service.
+    """Sharded throughput vs one single-process service.
 
     The comparison holds the parallelism budget fixed: the
     single-process baseline gets ``shards`` worker threads, the sharded
-    service gets ``shards`` worker processes, the process-mode service
-    gets ``shards`` process slots — the driver fans requests at the
-    same concurrency against each.
+    service gets ``shards`` worker processes — ``_drive`` fans requests
+    at the same concurrency against each.
     """
     cores = os.cpu_count() or 1
     requests = _scaling_trace(n_requests)
@@ -305,20 +304,10 @@ def phase_scaling(
             and c["labels"] == {"placement": "spill"}
         )
 
-    with PartitionService(
-        n_workers=shards, process_workers=shards, process_threshold=0
-    ) as procs:
-        process_s, process_results = _drive(procs, requests, shards)
-
     identical = all(
         np.array_equal(a.assignment, b.assignment)
         and a.cut_size == b.cut_size
         for a, b in zip(single_results, sharded_results)
-    )
-    process_identical = all(
-        np.array_equal(a.assignment, b.assignment)
-        and a.cut_size == b.cut_size
-        for a, b in zip(single_results, process_results)
     )
     n = len(requests)
     return {
@@ -327,16 +316,12 @@ def phase_scaling(
         "requests": n,
         "single_s": round(single_s, 4),
         "sharded_s": round(sharded_s, 4),
-        "process_s": round(process_s, 4),
         "single_rps": round(n / max(single_s, 1e-9), 3),
         "sharded_rps": round(n / max(sharded_s, 1e-9), 3),
-        "process_rps": round(n / max(process_s, 1e-9), 3),
         "sharded_per_core_rps": round(n / max(sharded_s, 1e-9) / cores, 3),
         "sharded_speedup": round(single_s / max(sharded_s, 1e-9), 2),
-        "process_speedup": round(single_s / max(process_s, 1e-9), 2),
         "sharded_identical_to_single": bool(identical),
         "sharded_spills": int(spills),
-        "process_identical_to_single": bool(process_identical),
     }
 
 
@@ -950,10 +935,6 @@ def main(argv=None) -> int:
             "no sharded miss was placed off its ring owner, so the "
             "identity check did not cover placement"
         )
-    if not scaling["process_identical_to_single"]:
-        failures.append(
-            "process-lane responses are not bit-identical to thread lane"
-        )
     if scaling["cores"] >= 4:
         if scaling["sharded_speedup"] < args.min_shard_speedup:
             failures.append(
@@ -990,7 +971,6 @@ def main(argv=None) -> int:
             "warm_cold_speedup_x": warm["aggregate_speedup"],
             "http_p50_ms": http["p50_ms"],
             "sharded_speedup_x": scaling["sharded_speedup"],
-            "process_speedup_x": scaling["process_speedup"],
             "sharded_per_core_rps": scaling["sharded_per_core_rps"],
         },
         "failover": {

@@ -7,7 +7,7 @@
     repro-partition workloads
     repro-partition info GRAPH.metis
     repro-partition serve [--host H] [--port P] [--workers N]
-                          [--shards S] [--process-workers M]
+                          [--shards S]
                           [--attach-shard HOST:PORT ...] [--snapshot-dir D]
                           [--trace] [--trace-sample R] [--trace-jsonl F]
                           [--log-json]
@@ -95,17 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--shards", type=int, default=0,
         help="digest-sharded multi-process serving: N worker service "
-             "processes (0 = single process)",
-    )
-    p_serve.add_argument(
-        "--process-workers", type=int, default=0,
-        help="pinned worker processes for long GA runs (single-process "
-             "mode only; ignored with --shards)",
-    )
-    p_serve.add_argument(
-        "--process-threshold", type=float, default=None,
-        help="cost floor (nodes x population x generations) routing a "
-             "dknux run to a process worker",
+             "processes, the way to use N cores (0 = single process)",
     )
     p_serve.add_argument(
         "--racing-portfolio", action="store_true",
@@ -354,13 +344,10 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
     kwargs = dict(
         n_workers=args.workers,
         cache_bytes=args.cache_mb << 20,
-        process_workers=args.process_workers,
         racing_portfolio=args.racing_portfolio,
         snapshot_interval_s=args.snapshot_interval,
         **front_kwargs,
     )
-    if args.process_threshold is not None:
-        kwargs["process_threshold"] = args.process_threshold
     if args.snapshot_dir is not None:
         kwargs["snapshot_dir"] = args.snapshot_dir
     elif args.snapshot_interval > 0 and not args.shards:
@@ -424,9 +411,7 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
         # configured where they run — reject instead of ignoring
         if (
             args.workers != 2 or args.cache_mb != 64
-            or args.process_workers or args.racing_portfolio
-            or args.process_threshold is not None
-            or args.snapshot_interval > 0
+            or args.racing_portfolio or args.snapshot_interval > 0
         ):
             print(
                 "error: service options (--workers, --cache-mb, ...) "
@@ -443,10 +428,7 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
     elif args.shards:
         layout = f"{args.shards} shards × {args.workers} workers"
     else:
-        layout = f"{args.workers} workers" + (
-            f" + {args.process_workers} process slots"
-            if args.process_workers else ""
-        )
+        layout = f"{args.workers} workers"
     print(
         f"repro partition service on http://{args.host}:{args.port} "
         f"({layout}, {args.cache_mb} MiB cache) — Ctrl-C stops"

@@ -6,10 +6,9 @@ results, seeds, or routing — the bit-identity tests assert it):
 * :mod:`repro.obs.trace` — explicit-context spans with
   ``trace_id``/``span_id``/``parent_id``, monotonic durations, a
   bounded ring buffer, and an optional JSONL sink.  Trace context
-  rides the JSON request payloads (``models.py``), the pipe/socket
-  shard frames (``transport.py``), and process-pool job shipping
-  (``procexec.py``), so one front-side tree stitches in worker spans
-  across process and socket boundaries.
+  rides the JSON request payloads (``models.py``) and the pipe/socket
+  shard frames (``transport.py``), so one front-side tree stitches in
+  shard spans across process and socket boundaries.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   fixed-bucket histograms under one documented snapshot schema
   (:data:`~repro.obs.metrics.METRICS_SCHEMA`), served as JSON and
@@ -42,7 +41,6 @@ repro_cache_capacity_bytes                gauge      cache
 repro_warm_seeds                          gauge      —
 repro_jobs_executed_total                 counter    —
 repro_jobs_joined_total                   counter    —
-repro_jobs_process_total                  counter    —
 repro_groups_executed_total               counter    —
 repro_group_members_total                 counter    —
 repro_inflight_jobs                       gauge      —

@@ -306,7 +306,6 @@ STATS_SECTIONS = {
     "scheduler": (
         ("jobs_executed", "repro_jobs_executed_total"),
         ("jobs_joined", "repro_jobs_joined_total"),
-        ("jobs_process", "repro_jobs_process_total"),
         ("groups_executed", "repro_groups_executed_total"),
         ("group_members", "repro_group_members_total"),
     ),

@@ -20,8 +20,8 @@ optional JSONL file.  Origination is gated by ``enabled`` and a
 deterministic hash-based sample rate; *continuation* of a remote
 context is always recorded — the origin already made the sampling
 decision.  Spans started from a wire context collect their whole
-subtree (:meth:`Span.collected`) so a shard or process-pool worker can
-ship its spans back inside the reply payload.
+subtree (:meth:`Span.collected`) so a shard can ship its spans back
+inside the reply payload.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class Span:
         return list(self._bucket) if self._bucket is not None else []
 
     def adopt(self, records) -> None:
-        """Graft finished records from another process (a process-pool
-        worker's subtree) into this span's collection bucket."""
+        """Graft finished records from another process (a remote
+        subtree) into this span's collection bucket."""
         if self._bucket is not None and records:
             self._bucket.extend(
                 r for r in records if isinstance(r, dict)
@@ -281,7 +281,7 @@ class Tracer:
 
     def ingest(self, records) -> int:
         """Adopt finished span records produced by another process (a
-        shard reply or process-pool job); returns how many were kept."""
+        shard reply); returns how many were kept."""
         kept = []
         for record in records or ():
             if isinstance(record, dict) and record.get("trace_id"):

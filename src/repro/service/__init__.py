@@ -4,24 +4,22 @@ The serving subsystem the ROADMAP's production north star builds on:
 typed requests with a JSON wire format (:mod:`.models`), one config
 surface (:mod:`.config`), content-addressed caching of
 graphs/results/warm seeds (:mod:`.cache`), a coalescing scheduler over
-pinned thread workers with a process lane for long GA runs
-(:mod:`.scheduler`, :mod:`.procexec`), consistent-hash shard
+pinned worker threads (:mod:`.scheduler`), consistent-hash shard
 addressing with epoch-numbered ring versions (:mod:`.ring`),
 digest-sharded multi-process serving with supervision/auto-restart and
 elastic resize (:mod:`.sharding`, ``serve --shards N``,
 ``repro-partition ring``) over pipe or socket transports (:mod:`.transport`,
 ``serve --shard-listen`` / ``--attach-shard``), session failover
-snapshots (:mod:`.persistence`), streaming incremental sessions with
-overlapped updates (:mod:`.sessions`), a method portfolio racer
-(:mod:`.portfolio`), and two frontends — a stdlib HTTP endpoint with
-interchangeable connection fronts (:mod:`.http` routing, the
-:mod:`.eventloop` selectors front with keep-alive and pipelining, and
-the thread-per-connection fallback; ``repro-partition serve``) and
-programmatic clients (:mod:`.client`).  Observability — distributed
-request tracing, the
-unified metrics registry behind ``/v1/metrics``, and structured shard
-lifecycle logs — lives in :mod:`repro.obs` and is threaded through
-every layer here.
+snapshots (:mod:`.persistence`), streaming incremental sessions
+(:mod:`.sessions`), a method portfolio racer (:mod:`.portfolio`), and
+two frontends — a stdlib HTTP endpoint (:mod:`.http` routing, served
+by the :mod:`.eventloop` selectors front with keep-alive and
+pipelining; ``repro-partition serve``) and programmatic clients
+(:mod:`.client`).  Shards are the one way to use more cores: each is a
+whole service process behind the hash ring.  Observability —
+distributed request tracing, the unified metrics registry behind
+``/v1/metrics``, and structured shard lifecycle logs — lives in
+:mod:`repro.obs` and is threaded through every layer here.
 """
 
 from .models import (
@@ -36,7 +34,7 @@ from .models import (
     result_from_partition,
 )
 from .cache import ContentStore, GraphStore, LRUBytesCache, graph_digest, request_key
-from .config import DEFAULT_PROCESS_THRESHOLD, ServiceConfig
+from .config import ServiceConfig
 from .ring import (
     DEFAULT_RING_REPLICAS,
     RING_PROTOCOL_VERSION,
@@ -67,7 +65,6 @@ from .http import dispatch_request, make_server, serve
 from .eventloop import EventLoopHTTPServer
 
 __all__ = [
-    "DEFAULT_PROCESS_THRESHOLD",
     "ServiceConfig",
     "ShardedPartitionService",
     "ShardServer",

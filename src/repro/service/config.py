@@ -5,11 +5,12 @@ one frozen, picklable object that a :class:`~repro.service.core.
 PartitionService` is built from, that ``serve --shards N`` ships to
 every shard worker process, and that benchmarks record alongside their
 numbers.  Everything that changes *how* the service executes — worker
-counts, cache budgets, the process-pool cost model, racing portfolios,
-overlapped session updates — lives here; everything that changes *what*
-a request answers lives in the request itself.  The shard wire encoding
-is not a knob: each transport lane has exactly one codec (see
-:mod:`repro.service.transport`).
+counts, cache budgets, racing portfolios, persistence, tracing — lives
+here; everything that changes *what* a request answers lives in the
+request itself.  The shard wire encoding is not a knob: each transport
+lane has exactly one codec (see :mod:`repro.service.transport`).  Nor
+is the use of more cores: that is the shard count (``serve --shards
+N``, or more ``serve --shard-listen`` servers), not a field here.
 """
 
 from __future__ import annotations
@@ -21,20 +22,8 @@ from ..errors import ServiceError
 
 __all__ = [
     "ServiceConfig",
-    "DEFAULT_PROCESS_THRESHOLD",
     "OBSERVABILITY_FIELDS",
 ]
-
-#: Default floor of the process-routing cost model, in cost units of
-#: ``n_nodes × population_size × max_generations``.  Measured on the
-#: paper-scale workloads: shipping a graph to a process slot plus the
-#: per-job pickle round-trip costs ~5–20 ms, while a trace-scale GA
-#: run (~3e4 units) takes ~80 ms and a full serving-budget run (≥1e6
-#: units: pop 64 × 100 generations on a 150+-node graph) runs for
-#: seconds — so below the floor the IPC tax is a double-digit
-#: percentage and above it well under 1%.  Routing is perf-only:
-#: either lane returns bit-identical answers.
-DEFAULT_PROCESS_THRESHOLD = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -46,36 +35,18 @@ class ServiceConfig:
     n_workers:
         Pinned worker *threads* executing jobs (numpy kernels release
         the GIL, so threads overlap; Python-level GA bookkeeping does
-        not — that is what ``process_workers`` is for).
+        not — more cores take more shards).
     cache_bytes:
         Byte budget of the content-addressed caches (half results,
         half interned graphs).
     max_sessions:
         Open incremental-session limit.
-    process_workers:
-        Pinned worker *process* slots for long GA runs; ``0`` (default)
-        disables process execution entirely.  Jobs are pinned to slots
-        by graph digest, and each slot's worker interns shipped graphs
-        so a pinned graph crosses the process boundary once, not once
-        per request.
-    process_threshold:
-        Cost-model floor, in ``n_nodes × population_size ×
-        max_generations`` units, above which a dknux request routes to
-        a process slot instead of a worker thread (when
-        ``process_workers > 0``).  Results are bit-identical either
-        way; the threshold only decides where the identical computation
-        runs.
     racing_portfolio:
         Run portfolio legs concurrently, cancelling the GA leg once it
         can no longer beat the incumbent under the remaining budget
         (see :mod:`repro.service.portfolio`).  The reported winner is
         identical to the serial portfolio whenever the time budget does
         not bind.
-    overlap_updates:
-        Use the overlapped session-update path: update ingestion and
-        result commit hold the session state lock only briefly while
-        the GA runs outside it (see :mod:`repro.service.sessions`).
-        Final assignments are identical to the serial-lock path.
     snapshot_dir:
         Directory for session failover snapshots (see
         :mod:`repro.service.persistence`).  When set, the service
@@ -117,10 +88,7 @@ class ServiceConfig:
     n_workers: int = 2
     cache_bytes: int = 64 << 20
     max_sessions: int = 1024
-    process_workers: int = 0
-    process_threshold: float = DEFAULT_PROCESS_THRESHOLD
     racing_portfolio: bool = False
-    overlap_updates: bool = True
     snapshot_dir: Optional[str] = None
     snapshot_interval_s: float = 0.0
     trace_enabled: bool = False
@@ -139,14 +107,6 @@ class ServiceConfig:
         if self.max_sessions < 1:
             raise ServiceError(
                 f"max_sessions must be >= 1, got {self.max_sessions}"
-            )
-        if self.process_workers < 0:
-            raise ServiceError(
-                f"process_workers must be >= 0, got {self.process_workers}"
-            )
-        if self.process_threshold < 0:
-            raise ServiceError(
-                f"process_threshold must be >= 0, got {self.process_threshold}"
             )
         if self.snapshot_interval_s < 0:
             raise ServiceError(

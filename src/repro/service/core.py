@@ -9,7 +9,6 @@ flows::
             └─miss→ in-flight join (identical request already running?)
             └─lead→ pinned worker slot (by graph digest / session id)
                      → GA / baseline / portfolio / batched refine
-                       (long GA runs: process slot, see cost model)
                      → result stored + warm seed updated → answer
 
 Everything the PR-1/2 kernels made fast stays hot across requests: the
@@ -19,14 +18,11 @@ partitioners keep their population near the previous optimum, and the
 engine evaluator's row-hash memo (PR 3) never re-evaluates a row the
 service has already paid for.
 
-Execution lanes (PR 4): jobs run on pinned worker threads by default;
-when :class:`~repro.service.config.ServiceConfig` enables a process
-bank, dknux requests whose estimated cost (``n_nodes × population ×
-generations``) clears ``process_threshold`` run on a pinned worker
-*process* instead — same computation, same bits, but Python-level
-generation bookkeeping no longer serializes on the GIL.  Graph payloads
-ship to a process slot once per pin and are interned worker-side
-(:mod:`repro.service.procexec`).
+Execution: every job runs on a pinned worker thread of this process.
+The batch kernels release the GIL, so threads overlap; Python-level
+generation bookkeeping does not, and the way to put more cores to work
+is more shards — whole services like this one behind the hash ring
+(:mod:`repro.service.sharding`).
 
 Digest-first requests: a :class:`PartitionRequest` may name its graph
 by digest alone.  Its answer is looked up by digest first, so a cache
@@ -34,11 +30,10 @@ hit needs no graph; a miss resolves the digest against the graph
 store, and a graph that is not resident raises
 :class:`~repro.errors.NeedsGraph` before anything is scheduled.
 
-Determinism contract: cached, joined, group-coalesced, and
-process-routed answers are bit-identical to what a cold serial run of
-the same request (same seed) would return.  The only opt-out is
-``warm_start=True``, which explicitly trades that property for
-convergence speed.
+Determinism contract: cached, joined, and group-coalesced answers are
+bit-identical to what a cold serial run of the same request (same
+seed) would return.  The only opt-out is ``warm_start=True``, which
+explicitly trades that property for convergence speed.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from ..obs.metrics import (
 )
 from ..obs.trace import NULL_SPAN, Tracer
 from ..partition.partition import Partition
-from .cache import ContentStore, ShippedLRU, request_key
+from .cache import ContentStore, request_key
 from .config import ServiceConfig
 from .models import (
     JobResult,
@@ -73,7 +68,6 @@ from .models import (
     result_from_partition,
 )
 from .portfolio import run_portfolio
-from .procexec import WORKER_GRAPH_CAP, graph_to_arrays, run_partition_job
 from .scheduler import CoalescingScheduler
 from .sessions import SessionManager
 
@@ -99,7 +93,7 @@ class PartitionService:
 
     Built from a :class:`~repro.service.config.ServiceConfig`; keyword
     arguments are config field overrides, so ``PartitionService(
-    n_workers=4, process_workers=2)`` and ``PartitionService(
+    n_workers=4, cache_bytes=1 << 20)`` and ``PartitionService(
     config=ServiceConfig(...))`` are the same thing.
     """
 
@@ -112,9 +106,7 @@ class PartitionService:
             config = config.with_updates(**overrides)
         self.config = config
         self.store = ContentStore(config.cache_bytes)
-        self.scheduler = CoalescingScheduler(
-            config.n_workers, process_workers=config.process_workers
-        )
+        self.scheduler = CoalescingScheduler(config.n_workers)
         self.sessions = SessionManager(config.max_sessions)
         # observability plane (repro.obs): spans + the unified metrics
         # registry.  Strictly observational — nothing recorded here may
@@ -126,15 +118,6 @@ class PartitionService:
             sample_rate=config.trace_sample,
         )
         self.registry = MetricsRegistry()
-        # digests whose CSR arrays were shipped to each process slot —
-        # later jobs for the pin send the digest alone.  Bounded to the
-        # worker-side intern LRU's capacity per slot: beyond that the
-        # worker has evicted the graph anyway.
-        pool = self.scheduler.process_pool
-        self._shipped = [
-            ShippedLRU(WORKER_GRAPH_CAP)
-            for _ in range(0 if pool is None else pool.n_slots)
-        ]
         # session failover persistence (see repro.service.persistence):
         # snapshot on every session commit, restore what the store holds
         # before taking traffic — a restarted shard resumes its sessions
@@ -249,26 +232,13 @@ class PartitionService:
                 # the scheduler drops its in-flight entry, so a same-key
                 # request arriving at any moment finds either the flight or
                 # the cache — identical work truly runs at most once
-                process_config = self._process_route(request)
-                if process_config is not None:
-                    # inline: the calling thread only blocks on IPC; the
-                    # actual work runs on the pinned process slot
-                    result = self.scheduler.run(
-                        key,
-                        digest,
-                        lambda: self._execute_process_and_publish(
-                            request, digest, key, process_config, parent=span
-                        ),
-                        inline=True,
-                    )
-                else:
-                    result = self.scheduler.run(
-                        key,
-                        digest,
-                        lambda: self._execute_and_publish(
-                            request, digest, key, parent=span
-                        ),
-                    )
+                result = self.scheduler.run(
+                    key,
+                    digest,
+                    lambda: self._execute_and_publish(
+                        request, digest, key, parent=span
+                    ),
+                )
         except BaseException as exc:
             span.fail(exc)
             span.close()
@@ -276,11 +246,7 @@ class PartitionService:
         latency = time.perf_counter() - t0
         result.latency_s = latency
         result.request_key = key
-        span.set(
-            cache_hit=result.cache_hit,
-            coalesced=result.coalesced,
-            lane=result.executed_in or "thread",
-        )
+        span.set(cache_hit=result.cache_hit, coalesced=result.coalesced)
         span.close()
         self._observe_request(endpoint, latency)
         # remote-rooted spans collect their subtree; ship it back in the
@@ -487,12 +453,10 @@ class PartitionService:
     ) -> JobResult:
         """One incremental step, pinned to the session's worker slot.
 
-        With ``overlap_updates`` (the default) the update runs through
-        the overlapped path: the session's state lock is held only for
-        ingestion and commit, so ``close_session``/stats never block
-        behind a GA run.  Final assignments are identical to the
-        serial-lock path (both compose the same
-        ``begin_update → run_pending → commit_update`` kernels).
+        The session's state lock is held only for ingestion and commit
+        (:meth:`~repro.service.sessions.SessionManager.
+        update_overlapped`), so ``close_session``/stats never block
+        behind a GA run.
         """
         self._check_open()
         t0 = time.perf_counter()
@@ -505,23 +469,19 @@ class PartitionService:
         # intern the update graph too: replayed updates (and the sharded
         # bit-identity benchmark) then reuse one CSR build + strengths
         _, graph = self.store.graphs.intern(request.graph)
-        overlap = self.config.overlap_updates
 
         def step() -> JobResult:
             step_span = self.tracer.start(
                 "session.update", parent=span,
                 attrs={"session_id": request.session_id},
             )
-
-            def run_update():
-                if overlap:
-                    return self.sessions.update_overlapped(
-                        request.session_id, graph
-                    )
-                return self.sessions.update(request.session_id, graph)
-
             with step_span:
-                session, partition = self._recorded(step_span, run_update)
+                session, partition = self._recorded(
+                    step_span,
+                    lambda: self.sessions.update_overlapped(
+                        request.session_id, graph
+                    ),
+                )
                 step_span.set(epoch=session.n_updates)
             # on-commit snapshot: still on the session's pinned slot, so
             # the session's next update cannot have consumed RNG yet
@@ -744,32 +704,6 @@ class PartitionService:
         except (ConfigError, TypeError) as exc:
             raise ServiceError(f"bad ga overrides: {exc}") from exc
 
-    def _process_route(self, request: Request) -> Optional[GAConfig]:
-        """The resolved config when this request should run on a
-        process slot, else ``None`` (thread lane).
-
-        Cost model: ``n_nodes × population_size × max_generations``
-        estimates the GA work; runs clearing
-        ``config.process_threshold`` amortize the one-time graph
-        shipping and per-job IPC of a process slot (measured — see
-        :data:`~repro.service.config.DEFAULT_PROCESS_THRESHOLD`).
-        """
-        if (
-            self.scheduler.process_pool is None
-            or not isinstance(request, PartitionRequest)
-            or request.method != "dknux"
-        ):
-            return None
-        config = self._resolved_ga_config(request)
-        cost = (
-            request.graph.n_nodes
-            * config.population_size
-            * config.max_generations
-        )
-        if cost < self.config.process_threshold:
-            return None
-        return config
-
     def _observe_request(self, endpoint: str, latency_s: float) -> None:
         self.registry.inc("repro_requests_total", endpoint=endpoint)
         self.registry.observe(
@@ -795,84 +729,6 @@ class PartitionService:
             result = self._recorded(
                 exec_span, lambda: self._execute(request, digest)
             )
-        self.store.store_result(key, result)
-        self._store_warm_seed(request, digest, result)
-        self._record_result(key, result)
-        return result
-
-    def _execute_process_and_publish(
-        self,
-        request: PartitionRequest,
-        digest: str,
-        key: str,
-        config: GAConfig,
-        parent=NULL_SPAN,
-    ) -> JobResult:
-        """Run a dknux request on its pinned process slot.
-
-        The graph's CSR arrays ship with the first job for this
-        (slot, digest) pair; afterwards the digest alone travels.  A
-        worker that lost the graph (restart, worker-side LRU eviction)
-        raises :class:`NeedsGraph` and the job is resent once with the
-        arrays attached.
-        """
-        pool = self.scheduler.process_pool
-        assert pool is not None
-        slot = pool.slot(digest)
-        exec_span = self.tracer.start(
-            "service.execute", parent=parent,
-            attrs={"lane": "process", "slot": slot},
-        )
-        # the worker only records (and grows the reply) when a context
-        # ships; untraced jobs pickle byte-identically to before
-        tc = exec_span.context() if exec_span else None
-        extra = (tc,) if tc else ()
-        seed_assignment = None
-        if request.warm_start:
-            seed_assignment = self.store.graphs.warm_seed(
-                digest, request.n_parts, request.fitness_kind
-            )
-        shipped = self._shipped[slot]
-        config_kwargs = dataclasses.asdict(config)
-
-        def run(arrays):
-            return pool.submit(
-                digest,
-                run_partition_job,
-                digest,
-                arrays,
-                request.n_parts,
-                request.fitness_kind,
-                config_kwargs,
-                request.seed,
-                seed_assignment,
-                *extra,
-            ).result()
-
-        with exec_span:
-            try:
-                out = run(
-                    None
-                    if shipped.seen(digest)
-                    else graph_to_arrays(request.graph)
-                )
-            except NeedsGraph:
-                out = run(graph_to_arrays(request.graph))
-            shipped.mark(digest)
-            if isinstance(out, tuple) and len(out) == 3:
-                assignment, fitness, worker_spans = out
-            else:
-                assignment, fitness = out
-                worker_spans = None
-            if worker_spans:
-                # the worker's subtree: into the local ring, and grafted
-                # so a remote-rooted request ships it onward in one piece
-                self.tracer.ingest(worker_spans)
-                exec_span.adopt(worker_spans)
-        partition = Partition(request.graph, assignment, request.n_parts)
-        result = result_from_partition(
-            partition, request.method, fitness=fitness, executed_in="process"
-        )
         self.store.store_result(key, result)
         self._store_warm_seed(request, digest, result)
         self._record_result(key, result)

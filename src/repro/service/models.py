@@ -426,14 +426,14 @@ class JobResult:
     execution (joined in-flight duplicate or batched refine group);
     ``latency_s`` is the request's wall time inside the service.
     ``portfolio`` carries the per-method race table when the request
-    ran in portfolio mode.  ``executed_in`` records the execution lane
-    that computed the answer (``""`` = worker thread, ``"process"`` =
-    pinned process slot) and ``shard`` the shard index that served it
-    (``None`` outside sharded serving) — transport metadata, never part
-    of the answer: the assignment and metrics are bit-identical across
-    lanes and shard layouts.  ``spans`` carries finished trace-span
-    records when the request arrived with a trace context (how a remote
-    shard or process worker ships its subtree back to the front) —
+    ran in portfolio mode.  ``shard`` is the shard index that served
+    the answer (``None`` outside sharded serving) — transport metadata,
+    never part of the answer: the assignment and metrics are
+    bit-identical across shard layouts.  ``executed_in`` is always
+    ``""`` (every answer is computed on a worker thread); it stays in
+    the payload so the wire schema is unchanged.  ``spans`` carries
+    finished trace-span records when the request arrived with a trace
+    context (how a remote shard ships its subtree back to the front) —
     observational-only, stripped before a result enters the cache.
     """
 

@@ -3,9 +3,8 @@
 The scheduler owns a :class:`repro.ga.parallel.PinnedExecutors` bank of
 single-thread workers (numpy kernels release the GIL, so thread slots
 give real parallelism without shipping graphs across process
-boundaries), an optional second bank of single-worker *processes* for
-GA runs long enough to amortize IPC (see
-:mod:`repro.service.procexec`), and two coalescing mechanisms on top:
+boundaries; more cores take more shards, see
+:mod:`repro.service.sharding`) and two coalescing mechanisms on top:
 
 * **in-flight join** — while a job for cache key ``K`` is executing,
   any concurrently submitted job with the same key *joins* it instead
@@ -13,8 +12,7 @@ GA runs long enough to amortize IPC (see
   ``coalesced``.  Combined with the content-addressed result cache this
   means identical work is performed at most once no matter how it
   arrives: before execution (cache hit), during (join), after (cache
-  hit).  The join table spans both execution lanes, so a thread job
-  and a process job for the same key can never run concurrently.
+  hit).
 * **group execution** — :meth:`run_group` executes one function for a
   whole batch of compatible jobs (the service stacks concurrently
   queued refinements of the same (graph, k, fitness) into a single
@@ -25,9 +23,8 @@ Pinning matters for the same reason it does in
 :class:`~repro.ga.parallel.ParallelDPGA`: jobs are pinned by graph
 digest and session updates by session id, so whatever worker-local
 state exists for that content (a session's evolving partitioner, a hot
-evaluator memo, a process worker's interned graph) stays on one worker
-instead of being rebuilt wherever a shared pool happens to schedule
-the job.
+evaluator memo) stays on one worker instead of being rebuilt wherever
+a shared pool happens to schedule the job.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from typing import Callable, Optional, Sequence
 from ..errors import ServiceError
 from ..ga.parallel import PinnedExecutors
 from .models import JobResult
-from .procexec import init_process_worker
 
 __all__ = ["CoalescingScheduler"]
 
@@ -57,41 +53,21 @@ class _InFlight:
 class CoalescingScheduler:
     """Dispatches service jobs with dedup, grouping, and slot pinning."""
 
-    def __init__(self, n_workers: int = 2, process_workers: int = 0) -> None:
+    def __init__(self, n_workers: int = 2) -> None:
         if n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {n_workers}")
-        if process_workers < 0:
-            raise ServiceError(
-                f"process_workers must be >= 0, got {process_workers}"
-            )
         self.pool = PinnedExecutors(n_workers, kind="thread")
-        #: process bank for cost-model-routed long GA runs (lazy jobs:
-        #: the executors fork on construction, so only build the bank
-        #: when the config actually asks for process execution)
-        self.process_pool: Optional[PinnedExecutors] = None
-        if process_workers:
-            self.process_pool = PinnedExecutors(
-                process_workers,
-                kind="process",
-                initializer=init_process_worker,
-            )
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
         # counters (reads are informational; writes hold _lock)
         self.jobs_executed = 0
         self.jobs_joined = 0
-        self.jobs_process = 0
         self.groups_executed = 0
         self.group_members = 0
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        key: str,
-        pin_key,
-        fn: Callable[[], JobResult],
-        *,
-        inline: bool = False,
+        self, key: str, pin_key, fn: Callable[[], JobResult]
     ) -> JobResult:
         """Execute ``fn`` on the slot pinned to ``pin_key``, joining any
         in-flight execution of the same ``key``.
@@ -99,13 +75,6 @@ class CoalescingScheduler:
         Returns the leader's result unmarked, or a ``coalesced``-marked
         copy for followers.  The leader's exception propagates to every
         joined caller.
-
-        ``inline=True`` runs ``fn`` on the *calling* thread instead of
-        a pinned worker thread — used for process-routed jobs, whose
-        ``fn`` merely submits to the process bank and blocks on IPC:
-        occupying a worker thread for that wait would let long process
-        jobs starve the thread lane.  In-flight joining is identical in
-        both modes.
         """
         with self._lock:
             flight = self._inflight.get(key)
@@ -124,15 +93,10 @@ class CoalescingScheduler:
             assert flight.result is not None
             return flight.result.replace(coalesced=True)
         try:
-            if inline:
-                flight.result = fn()
-            else:
-                future = self.pool.submit(pin_key, fn)
-                flight.result = future.result()
+            future = self.pool.submit(pin_key, fn)
+            flight.result = future.result()
             with self._lock:
                 self.jobs_executed += 1
-                if inline:
-                    self.jobs_process += 1
             return flight.result
         except BaseException as exc:
             flight.error = exc
@@ -185,12 +149,9 @@ class CoalescingScheduler:
             return {
                 "jobs_executed": self.jobs_executed,
                 "jobs_joined": self.jobs_joined,
-                "jobs_process": self.jobs_process,
                 "groups_executed": self.groups_executed,
                 "group_members": self.group_members,
             }
 
     def shutdown(self) -> None:
         self.pool.shutdown()
-        if self.process_pool is not None:
-            self.process_pool.shutdown()

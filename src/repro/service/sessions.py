@@ -19,26 +19,23 @@ service pins every update of a session to one scheduler slot, so the
 partitioner's evolving state lives on a single worker for the
 session's lifetime.
 
-Two update paths share the same kernels (PR 4):
+Updates are *overlapped* (:meth:`SessionManager.update_overlapped`):
+the state lock is held only for *ingestion* (validate the new graph)
+and *commit* (install the result); the GA runs between the two holding
+only the compute lock.  ``close``/``summary``/stats therefore never
+block behind a GA run: a close that races an in-flight update wins
+immediately, and the update fails its commit with "unknown session"
+instead of committing to a closed session.  If a pipelined caller
+commits another update meanwhile, the commit detects the stale epoch
+and *rebases*: the pending update re-runs, seeding from the newly
+committed partition — exactly what serial execution would have done.
 
-* :meth:`SessionManager.update` — the serial-lock path: the state lock
-  is held for the whole update, GA run included (the original PR-3
-  behavior).
-* :meth:`SessionManager.update_overlapped` — the overlapped path: the
-  state lock is held only for *ingestion* (validate the new graph) and
-  *commit* (install the result); the GA runs between the two holding
-  only the compute lock.  ``close``/``summary``/stats therefore never
-  block behind a GA run: a close that races an in-flight overlapped
-  update wins immediately, and the update fails its commit with
-  "unknown session" instead of committing to a closed session.  If a
-  pipelined caller commits another update meanwhile, the commit detects
-  the stale epoch and *rebases*: the pending update re-runs, seeding
-  from the newly committed partition — exactly what serial execution
-  would have done.
-
-Both paths compose ``begin_update → run_pending → commit_update``
-(:mod:`repro.incremental.partitioner`), so for serially issued updates
-they produce bit-identical assignments.
+The update composes ``begin_update → run_pending → commit_update``
+(:mod:`repro.incremental.partitioner`), the same kernels
+``IncrementalGAPartitioner.update`` runs in one call, so serially
+issued updates produce bit-identical assignments to running that call
+under both locks (the tests keep that serial-lock update as their
+oracle).
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ import secrets
 import threading
 import time
 from typing import Optional
-
-import numpy as np
 
 from ..errors import ConfigError, ServiceError, UnknownSession
 from ..ga.config import GAConfig
@@ -80,8 +75,8 @@ class Session:
     ) -> None:
         self.id = session_id
         self.partitioner = partitioner
-        #: guards published state (see module docstring) — held briefly
-        #: on the overlapped path, for the whole update on the serial one
+        #: guards published state (see module docstring) — held only for
+        #: an update's ingestion and commit
         self.lock = threading.Lock()
         #: serializes the session's GA work (RNG stream, engine state)
         self.compute_lock = threading.Lock()
@@ -227,37 +222,12 @@ class SessionManager:
             raise UnknownSession(f"unknown session {session_id!r}")
         return session
 
-    def update(self, session_id: str, new_graph: CSRGraph) -> tuple[Session, Partition]:
-        """Re-partition after a graph update, warm-seeded from the
-        session's previous assignment (serial-lock path: the state lock
-        is held for the whole GA run, so a concurrent close waits)."""
-        session = self.get(session_id)
-        t0 = time.perf_counter()
-        with session.compute_lock, session.lock:
-            # re-check under the session lock: a concurrent close() may
-            # have removed the session between get() and here, and an
-            # update must not "succeed" against a closed session
-            self._check_registered(session_id, session)
-            # repro: allow[LOCK-HELD-BLOCKING] — the serial-lock path's
-            # documented contract: the state lock is held for the whole GA
-            # run, so a concurrent close waits (PR 3 semantics)
-            partition = session.partitioner.update(new_graph)
-            session.n_updates += 1
-        with self._lock:
-            self.total_updates += 1
-        session.total_ga_seconds += time.perf_counter() - t0
-        return session, partition
-
     def update_overlapped(
         self, session_id: str, new_graph: CSRGraph
     ) -> tuple[Session, Partition]:
-        """Re-partition after a graph update, holding the state lock
-        only for ingestion and commit (see the module docstring).
-
-        Bit-identical to :meth:`update` for serially issued updates:
-        both compose the partitioner's ``begin_update → run_pending →
-        commit_update`` kernels on the same RNG stream.
-        """
+        """Re-partition after a graph update, warm-seeded from the
+        session's previous assignment, holding the state lock only for
+        ingestion and commit (see the module docstring)."""
         from ..incremental.partitioner import StaleUpdateError
 
         session = self.get(session_id)
@@ -267,7 +237,7 @@ class SessionManager:
                 self._check_registered(session_id, session)
                 if session.partitioner.partition is None:
                     # first contact — an initial partition cannot
-                    # overlap with anything; behave like the serial path
+                    # overlap with anything; run it in one piece
                     # repro: allow[LOCK-HELD-BLOCKING] — nothing is published
                     # before the first partition, so nobody can contend
                     partition = session.partitioner.update(new_graph)
@@ -308,10 +278,9 @@ class SessionManager:
                 self.closed += 1
         if session is None:
             raise UnknownSession(f"unknown session {session_id!r}")
-        # serial-path updates hold the state lock for their whole GA run
-        # (close waits, as in PR 3); overlapped updates hold it only
-        # briefly, so this returns immediately and a racing update fails
-        # its commit against the now-unregistered session
+        # updates hold the state lock only briefly, so this returns
+        # immediately and a racing update fails its commit against the
+        # now-unregistered session
         with session.lock:
             return session.summary()
 
@@ -330,7 +299,7 @@ class SessionManager:
         """Update-epoch digest across open sessions (the
         ``repro_session_epoch_max`` gauge): reads only each session's
         ``n_updates`` counter, never its state lock, so it cannot block
-        behind a serial-path GA run."""
+        behind an update's ingestion or commit."""
         with self._lock:
             epochs = [s.n_updates for s in self._sessions.values()]
         return {

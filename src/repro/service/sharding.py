@@ -142,9 +142,11 @@ the transport, and a crash-free restart change which process computes,
 never what is computed (enforced by ``tests/test_sharding.py`` and
 gated in CI by ``bench_service.py``).
 
-Composition note: local shard workers run with ``process_workers=0`` —
-a shard *is* a process, and daemonic shard workers may not spawn child
-processes.  A standalone :class:`ShardServer` has no such constraint.
+Composition note: shards are the service's one way to use more cores.
+A shard *is* a process running one :class:`PartitionService` on worker
+threads; a host with more cores runs more of them — ``serve --shards
+N`` locally, or more ``serve --shard-listen`` servers attached with
+``--attach-shard``.
 """
 
 from __future__ import annotations
@@ -386,9 +388,9 @@ class ShardServer:
     attaching front rebuilds its session→shard routing from the
     server's open sessions (the ``list_sessions`` verb), so sessions
     opened through a previous front remain addressable.
-    Keyword arguments are :class:`ServiceConfig` overrides; unlike
-    local pipe shards, a shard server is a first-class process and may
-    use ``process_workers``.
+    Keyword arguments are :class:`ServiceConfig` overrides, exactly as
+    for a local shard; to use more of a host's cores, run more shard
+    servers on it and attach each one.
     """
 
     def __init__(
@@ -725,10 +727,6 @@ class ShardedPartitionService:
             if n_shards < 1:
                 raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
             self.n_shards = n_shards
-            if config.process_workers:
-                # a shard is already a process; daemonic shard workers
-                # may not spawn children (see the module docstring)
-                config = config.with_updates(process_workers=0)
         else:
             attach = list(attach)
             if not attach:

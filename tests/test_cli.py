@@ -48,11 +48,17 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_removed_front_flag_rejected(self, capsys):
-        """``serve --front`` was removed with the thread front; the
-        error names the flag instead of silently serving."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--front", "thread"])
-        assert "--front" in capsys.readouterr().err
+        """Removed ``serve`` flags (``--front`` with the thread front,
+        the process-lane flags with the process lane) error with the
+        flag's name instead of silently serving."""
+        for flag, value in (
+            ("--front", "thread"),
+            ("--process-workers", "2"),
+            ("--process-threshold", "0"),
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag, value])
+            assert flag in capsys.readouterr().err
 
 
 class TestPartitionCommand:

@@ -431,29 +431,6 @@ class TestServiceTracing:
         )
         assert results["off"].cut_size == results["on"].cut_size
 
-    def test_process_lane_ships_spans_back(self, graph):
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            result = svc.submit(
-                PartitionRequest(graph, 4, seed=0, ga=GA, trace=CTX)
-            )
-            untraced = svc.submit(
-                PartitionRequest(graph, 4, seed=1, ga=GA)
-            )
-        assert result.executed_in == "process"
-        names = _names(result.spans)
-        assert "procexec.run" in names and "ga.generation" in names
-        (root,) = span_tree(result.spans)
-        (execute,) = [
-            c for c in root["children"] if c["name"] == "service.execute"
-        ]
-        assert execute["attrs"]["lane"] == "process"
-        assert any(
-            c["name"] == "procexec.run" for c in execute["children"]
-        )
-        assert untraced.spans is None
-
     def test_session_verbs_are_traced(self, graph):
         with PartitionService(n_workers=1) as svc:
             opened = svc.open_session(graph, 4, seed=0, ga=GA, trace=CTX)

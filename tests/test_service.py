@@ -9,6 +9,7 @@ partition requests, and an end-to-end HTTP smoke test replaying a
 workloads-derived mixed trace.
 """
 
+import functools
 import json
 import threading
 from pathlib import Path
@@ -70,6 +71,16 @@ def lock_graph():
 def service():
     with PartitionService(n_workers=2) as svc:
         yield svc
+
+
+def serial_lock_update(manager, session_id, graph):
+    """The serial-lock session update, the oracle of the service's
+    overlapped one: both locks held for the whole GA run."""
+    session = manager.get(session_id)
+    with session.compute_lock, session.lock:
+        partition = session.partitioner.update(graph)
+        session.n_updates += 1
+    return session, partition
 
 
 # ----------------------------------------------------------------------
@@ -563,9 +574,10 @@ class TestSessions:
         assert agreement > 0.5
 
     def test_overlapped_updates_match_serial_lock_path(self, graph, lock_graph):
-        """The PR-4 acceptance contract: the overlapped update path
-        (short state lock, GA outside it) produces bit-identical
-        assignments to the serial-lock path on the same update trace.
+        """The acceptance contract: the service's overlapped update
+        path (short state lock, GA outside it) produces bit-identical
+        assignments to the serial-lock oracle (``serial_lock_update``,
+        patched in as the service's update) on the same update trace.
 
         Both drives run under the lock-order witness: every observed
         acquisition order must appear in the static lock graph, the
@@ -582,9 +594,11 @@ class TestSessions:
             outs = []
             with LockWitness() as witness:
                 witness.probe(IncrementalGAPartitioner, "run_pending")
-                with PartitionService(
-                    n_workers=1, overlap_updates=overlap
-                ) as svc:
+                with PartitionService(n_workers=1) as svc:
+                    if not overlap:
+                        svc.sessions.update_overlapped = functools.partial(
+                            serial_lock_update, svc.sessions
+                        )
                     opened = svc.open_session(graph, 4, seed=0, ga=GA)
                     outs.append(opened.assignment)
                     for g in updates:
@@ -616,9 +630,10 @@ class TestSessions:
             )
 
     def test_overlapped_manager_paths_are_equivalent(self, graph, lock_graph):
-        """SessionManager.update vs update_overlapped, driven directly,
-        each under the lock-order witness: the overlapped path runs the
-        GA with the state lock free, the serial path with it held."""
+        """The serial-lock oracle vs update_overlapped, driven directly
+        on a SessionManager, each under the lock-order witness: the
+        overlapped path runs the GA with the state lock free, the
+        serial oracle with it held."""
         from repro.service import SessionManager
 
         update = insert_local_nodes(graph, 6, seed=9)
@@ -630,7 +645,9 @@ class TestSessions:
                 session = manager.open(graph, 4, seed=3, ga=GA)
                 session.partition_initial()
                 if name == "serial":
-                    _, part = manager.update(session.id, update.graph)
+                    _, part = serial_lock_update(
+                        manager, session.id, update.graph
+                    )
                 else:
                     _, part = manager.update_overlapped(
                         session.id, update.graph

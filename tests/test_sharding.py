@@ -1,12 +1,12 @@
-"""Tests for the process-parallel serving tier (PR 4/5/10).
+"""Tests for the sharded serving tier: shards are the service's one
+way to use more cores.
 
 Covers: digest→shard routing stability, sharded vs single-process
-bit-identity on a replayed mixed trace, the process-pool execution
-lane (cost-model routing, graph shipping, bit-identity with the
-thread lane), the sharded front's lifecycle/error behavior, (PR 5)
-the fault-tolerant fleet: socket-vs-pipe transport equivalence,
-shard-death fail-fast, supervised restart with session failover
-bit-identity, the exception round-trip hardening, the elastic
+bit-identity on a replayed mixed trace, the sharded front's
+lifecycle/error behavior (including removed config options failing
+loudly), the fault-tolerant fleet: socket-vs-pipe transport
+equivalence, shard-death fail-fast, supervised restart with session
+failover bit-identity, the exception round-trip hardening, the elastic
 fleet: live resize with session/warm-result handoff, dead shards
 serving degraded out of the ring with zero lost answers, probe-driven
 eject/readmit, and the ``/v1/admin/ring`` endpoint, digest-first
@@ -186,6 +186,15 @@ class TestShardedService:
         with pytest.raises(ServiceError, match="closed"):
             svc.submit(PartitionRequest(graph, 2, method="random"))
         svc.close()  # idempotent
+
+    def test_serve_rejects_service_plus_shards(self, graph):
+        from repro.service import make_server
+
+        with PartitionService(n_workers=1) as svc:
+            with pytest.raises(ServiceError, match="not both"):
+                make_server(port=0, service=svc, shards=2)
+            with pytest.raises(ServiceError, match="not both"):
+                ServiceClient(service=svc, shards=2)
 
     def test_stats_aggregates_shards(self, graph):
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
@@ -634,8 +643,17 @@ class TestBinaryFrames:
         assert f"ring protocol {RING_PROTOCOL_VERSION}" in message
 
     def test_removed_binary_frames_option_is_rejected(self):
-        with pytest.raises(TypeError, match="binary_frames"):
-            ServiceConfig(binary_frames=False)
+        """Removed config options fail loudly, naming the option, from
+        every constructor that takes config overrides."""
+        for option, value in (
+            ("binary_frames", False),
+            ("process_workers", 2),
+            ("process_threshold", 0.0),
+            ("overlap_updates", False),
+        ):
+            for build in (ServiceConfig, PartitionService, ShardServer):
+                with pytest.raises(TypeError, match=option):
+                    build(**{option: value})
 
     def test_restarted_shard_renegotiates_binary(self, graph):
         """A supervised replacement shard re-runs the ``ping`` hello
@@ -2017,104 +2035,3 @@ class TestSafeException:
         out = _safe_exception(exc)
         assert type(out) is ServiceError
         assert "_PicklesButWontUnpickle" in str(out) and "a:b" in str(out)
-
-
-# ----------------------------------------------------------------------
-# process-pool execution lane
-# ----------------------------------------------------------------------
-
-class TestProcessExecution:
-    def test_process_lane_bit_identical_to_thread_lane(self, graph):
-        with PartitionService(n_workers=1) as svc:
-            thread_r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            proc_r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-            assert proc_r.executed_in == "process"
-            assert svc.stats()["scheduler"]["jobs_process"] == 1
-        assert np.array_equal(thread_r.assignment, proc_r.assignment)
-        assert thread_r.fitness == proc_r.fitness
-        assert thread_r.executed_in == ""
-
-    def test_cost_model_routes_by_threshold(self, graph):
-        config = ServiceConfig(
-            n_workers=1, process_workers=1, process_threshold=1e18
-        )
-        with PartitionService(config=config) as svc:
-            r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-            assert r.executed_in == ""  # below the floor: thread lane
-            assert svc.stats()["scheduler"]["jobs_process"] == 0
-        # ... and cheap methods never route regardless of threshold
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            r = svc.submit(PartitionRequest(graph, 4, method="greedy"))
-            assert r.executed_in == ""
-
-    def test_graph_ships_once_per_pin(self, graph):
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-            pool = svc.scheduler.process_pool
-            digest = graph_digest(graph)
-            assert svc._shipped[pool.slot(digest)].seen(digest)
-            # a second distinct request reuses the shipped graph
-            r2 = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
-            assert r2.executed_in == "process"
-            assert sum(len(d) for d in svc._shipped) == 1
-
-    def test_worker_resends_graph_after_state_loss(self, graph):
-        """The NeedsGraph fallback: if the parent believes a graph was
-        shipped but the worker does not hold it, the worker raises
-        NeedsGraph and the job is resent with the arrays — shipping is
-        an optimization, not a protocol."""
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            digest = graph_digest(graph)
-            slot = svc.scheduler.process_pool.slot(digest)
-            svc._shipped[slot].mark(digest)  # lie: nothing was shipped
-            r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-            assert r.executed_in == "process"
-        with PartitionService(n_workers=1) as svc:
-            ref = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-        assert np.array_equal(r.assignment, ref.assignment)
-
-    def test_shipped_tracking_is_bounded_per_slot(self, graph):
-        """The parent-side shipped set mirrors the worker intern LRU's
-        capacity — it must not grow without bound on distinct-graph
-        traffic (beyond the cap the worker has evicted the graph
-        anyway, so remembering it would buy nothing)."""
-        from repro.service.procexec import WORKER_GRAPH_CAP
-
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            shipped = svc._shipped[0]
-            for i in range(WORKER_GRAPH_CAP + 5):
-                shipped.mark(f"digest-{i}")
-            assert len(shipped) == WORKER_GRAPH_CAP
-            assert not shipped.seen("digest-0")  # evicted
-            assert shipped.seen(f"digest-{WORKER_GRAPH_CAP + 4}")
-
-    def test_serve_rejects_service_plus_shards(self, graph):
-        from repro.service import make_server
-
-        with PartitionService(n_workers=1) as svc:
-            with pytest.raises(ServiceError, match="not both"):
-                make_server(port=0, service=svc, shards=2)
-            with pytest.raises(ServiceError, match="not both"):
-                ServiceClient(service=svc, shards=2)
-
-    def test_process_mode_warm_start_uses_parent_seed(self, graph):
-        with PartitionService(
-            n_workers=1, process_workers=1, process_threshold=0
-        ) as svc:
-            cold = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
-            warm = svc.submit(
-                PartitionRequest(graph, 4, seed=1, warm_start=True, ga=GA)
-            )
-            assert warm.executed_in == "process"
-            assert warm.fitness >= cold.fitness - 1e-9
