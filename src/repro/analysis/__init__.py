@@ -16,7 +16,8 @@ rule                    checks
 ``LOCK-HELD-BLOCKING``  no lock (except the session compute lock) held
                         across a GA run / transport I/O / pickling
 ``LOCK-ORDER-CYCLE``    the extracted lock-acquisition graph is a DAG
-``WIRE-PICKLE``         no pickle in wire-facing service modules
+``WIRE-PICKLE``         no pickle, and no pickling multiprocessing
+                        ``Pipe``, in wire-facing service modules
 ``WIRE-ERROR``          every shard-raised exception reconstructs
                         across ``error_to_wire``
 ``BROAD-EXCEPT``        no silent ``except Exception:`` swallowers

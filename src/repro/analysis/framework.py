@@ -116,6 +116,7 @@ class AnalysisConfig:
     pickle_banned_globs: tuple = (
         "*/service/models.py",
         "*/service/transport.py",
+        "*/service/sharding.py",
         "*/service/http.py",
         "*/service/eventloop.py",
         "*/service/client.py",

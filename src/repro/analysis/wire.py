@@ -1,11 +1,12 @@
 """WIRE rules: wire-format hygiene for the service boundary.
 
-* ``WIRE-PICKLE`` — the socket/HTTP boundary must never pickle: a
+* ``WIRE-PICKLE`` — the shard/HTTP boundary must never pickle: a
   remote peer that can feed us pickles has arbitrary code execution
   over the front.  Pickle is banned in the wire-facing modules
   (:attr:`AnalysisConfig.pickle_banned_globs`; ``persistence.py`` is
   deliberately *not* in the list — local snapshots trust their own
-  disk).
+  disk), and so is a :mod:`multiprocessing` ``Pipe(...)`` there: its
+  ``Connection`` pickles every ``send`` without importing pickle.
 * ``WIRE-ERROR`` — every library exception a shard-side service module
   raises must reconstruct across :func:`repro.service.models.
   error_to_wire`, i.e. be a class defined in :mod:`repro.errors` (or a
@@ -66,13 +67,29 @@ def _is_builtin_exception(name: str) -> bool:
     return isinstance(obj, type) and issubclass(obj, BaseException)
 
 
+def _is_pipe_call(node: ast.AST) -> bool:
+    """``Pipe(...)``, ``multiprocessing.Pipe(...)`` or ``ctx.Pipe(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "Pipe") or (
+        isinstance(func, ast.Attribute) and func.attr == "Pipe"
+    )
+
+
 @rule(WIRE_PICKLE)
 def check_pickle(ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
-    """pickle import in a wire-facing module"""
+    """pickle import or multiprocessing Pipe in a wire-facing module"""
     if not config.matches(ctx.path, config.pickle_banned_globs):
         return
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
+        if _is_pipe_call(node):
+            yield ctx.finding(
+                WIRE_PICKLE, node,
+                "multiprocessing Pipe() in a wire-facing module — its "
+                "Connection pickles every message; use a socket transport",
+            )
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] in ("pickle", "cPickle", "dill",
                                                 "cloudpickle", "marshal",

@@ -286,12 +286,17 @@ def graph_from_payload(payload: dict) -> CSRGraph:
         )
     try:
         coords = payload.get("coords")
+        node_weights = payload["node_weights"]
+        # a copy, as for coords: CSRGraph keeps node weights as given,
+        # and a binary shard frame decodes them as a view that would pin
+        # the whole received frame for the graph's lifetime
         graph = CSRGraph(
             payload["n_nodes"],
             payload["edges_u"],
             payload["edges_v"],
             payload["edge_weights"],
-            payload["node_weights"],
+            None if node_weights is None
+            else np.array(node_weights, dtype=np.float64),
             coords=None if coords is None else np.array(coords, dtype=np.float64),
         )
     except KeyError as exc:

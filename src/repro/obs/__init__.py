@@ -6,7 +6,7 @@ results, seeds, or routing — the bit-identity tests assert it):
 * :mod:`repro.obs.trace` — explicit-context spans with
   ``trace_id``/``span_id``/``parent_id``, monotonic durations, a
   bounded ring buffer, and an optional JSONL sink.  Trace context
-  rides the JSON request payloads (``models.py``) and the pipe/socket
+  rides the JSON request payloads (``models.py``) and the binary
   shard frames (``transport.py``), so one front-side tree stitches in
   shard spans across process and socket boundaries.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and

@@ -112,14 +112,6 @@ class Span:
         remote-rooted spans collect; close the span before harvesting)."""
         return list(self._bucket) if self._bucket is not None else []
 
-    def adopt(self, records) -> None:
-        """Graft finished records from another process (a remote
-        subtree) into this span's collection bucket."""
-        if self._bucket is not None and records:
-            self._bucket.extend(
-                r for r in records if isinstance(r, dict)
-            )
-
     def to_record(self) -> dict:
         return {
             "name": self.name,
@@ -182,9 +174,6 @@ class _NullSpan:
 
     def collected(self) -> list:
         return []
-
-    def adopt(self, records) -> None:
-        pass
 
     def close(self) -> None:
         pass

@@ -8,8 +8,9 @@ pinned worker threads (:mod:`.scheduler`), consistent-hash shard
 addressing with epoch-numbered ring versions (:mod:`.ring`),
 digest-sharded multi-process serving with supervision/auto-restart and
 elastic resize (:mod:`.sharding`, ``serve --shards N``,
-``repro-partition ring``) over pipe or socket transports (:mod:`.transport`,
-``serve --shard-listen`` / ``--attach-shard``), session failover
+``repro-partition ring``) over one binary-frame socket transport
+(:mod:`.transport`: a socketpair to a local shard, TCP to ``serve
+--shard-listen`` / ``--attach-shard``), session failover
 snapshots (:mod:`.persistence`), streaming incremental sessions
 (:mod:`.sessions`), a method portfolio racer (:mod:`.portfolio`), and
 two frontends — a stdlib HTTP endpoint (:mod:`.http` routing, served
@@ -52,9 +53,7 @@ from .persistence import (
 from .portfolio import PORTFOLIO_GA_DEFAULTS, run_portfolio
 from .core import DEFAULT_GA_OVERRIDES, PartitionService
 from .transport import (
-    PipeTransport,
     ShardListener,
-    ShardTransport,
     SocketTransport,
     connect_shard,
     parse_address,
@@ -68,8 +67,6 @@ __all__ = [
     "ServiceConfig",
     "ShardedPartitionService",
     "ShardServer",
-    "ShardTransport",
-    "PipeTransport",
     "SocketTransport",
     "ShardListener",
     "connect_shard",

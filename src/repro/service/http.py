@@ -44,9 +44,11 @@ Malformed payloads (bad JSON, bad graph bytes, invalid parameters)
 answer ``400`` with ``{"error": ...}``; unknown paths ``404``; unknown
 sessions ``404``; oversized bodies ``413``; a digest-only partition
 whose graph is not held ``409``; a shard that died mid-call ``503``.
-Library errors never leak tracebacks to the wire.  ``/v1/admin/ring``
-against an unsharded service answers ``404`` — a bare
-:class:`PartitionService` has no ring.
+Library errors never leak tracebacks to the wire.  Any other error
+answers ``500`` from one process; behind shards, local or attached, it
+crosses the shard wire as a :class:`ServiceError` naming its type and
+answers ``400``.  ``/v1/admin/ring`` against an unsharded service
+answers ``404`` — a bare :class:`PartitionService` has no ring.
 
 Admin example — grow a local fleet from 2 to 4 shards, live::
 

@@ -104,8 +104,8 @@ def graph_from_wire(obj: Union[dict, str]) -> CSRGraph:
 def error_to_wire(exc: BaseException) -> dict:
     """JSON wire form of a service-side exception (class name + message).
 
-    Exceptions cross the socket shard transport as data, never as
-    pickled objects: the front reconstructs the library error class by
+    Exceptions cross the shard transport as data, never as pickled
+    objects: the front reconstructs the library error class by
     name (see :func:`error_from_wire`), so a hostile or buggy shard can
     at worst produce a :class:`ServiceError` with an odd message."""
     return {"type": type(exc).__name__, "message": str(exc)}

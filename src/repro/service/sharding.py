@@ -108,15 +108,15 @@ topology instead of ``% N``, membership can change at runtime:
   :class:`~repro.errors.ServiceError` naming both.
 
 Transport (PR 5) is one duplex :class:`~repro.service.transport.
-ShardTransport` per shard with request multiplexing: the front tags
+SocketTransport` per shard with request multiplexing: the front tags
 each request with a sequence id, a per-shard reader thread dispatches
 replies to waiting callers, and the shard worker executes requests on
-a small thread pool over its service.  Two transports share that
-protocol — the **pipe** lane to local child processes (pickled
-messages, shared memory for multi-MiB arrays) and the **socket** lane
-(length-prefixed binary frames) to shard servers anywhere (``serve
+a small thread pool over its service.  Every shard speaks the same
+length-prefixed binary frames, whether it is a local child process
+(a :func:`socket.socketpair`) or a shard server anywhere (TCP, ``serve
 --shard-listen`` / ``--attach-shard``), so a fleet can span machines
-without changing a caller.
+without changing a caller, and a shard-side error crosses either lane
+as the same ``{type, message}`` data.
 
 Fault tolerance (PR 5): every shard lives in a supervised slot with
 health tracking.  A shard death (reader-thread EOF, send failure) fails
@@ -155,6 +155,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import socket
 import tempfile
 import threading
 import time
@@ -184,9 +185,8 @@ from .models import (
 from .ring import RING_PROTOCOL_VERSION, HashRing
 from .transport import (
     SHUTDOWN,
-    PipeTransport,
     ShardListener,
-    ShardTransport,
+    SocketTransport,
     connect_shard,
 )
 
@@ -225,37 +225,14 @@ def _remember(memory: OrderedDict, key, value) -> None:
 # shard worker side
 # ----------------------------------------------------------------------
 
-def _safe_exception(exc: BaseException) -> Exception:
-    """An exception that survives a pickle **round-trip** (fallback:
-    ServiceError).
-
-    Checking only that the exception pickles is not enough: an
-    exception whose ``__init__`` signature diverges from its pickled
-    args (e.g. extra required parameters) dumps fine on the shard and
-    then explodes in ``pickle.loads`` on the front, killing the reply
-    dispatch for a perfectly healthy shard.  So the round-trip runs
-    *here*, shard-side, and the reconstructed object must come back as
-    the same type; any failure or type mismatch degrades to a plain
-    :class:`ServiceError` carrying the original type and message.
-    """
-    import pickle
-
-    try:
-        clone = pickle.loads(pickle.dumps(exc))
-        if type(clone) is type(exc) and isinstance(exc, Exception):
-            return exc
-    # repro: allow[BROAD-EXCEPT] — any round-trip failure means the
-    # exception is unsafe to ship; degrade to ServiceError below
-    except Exception:
-        pass
-    return ServiceError(f"{type(exc).__name__}: {exc}")
-
-
-def _serve_shard(transport: ShardTransport, service) -> None:
+def _serve_shard(transport: SocketTransport, service) -> None:
     """Answer ``(req_id, verb, args)`` messages over one transport until
     EOF or :data:`SHUTDOWN`; requests execute on a small thread pool so
-    same-shard traffic overlaps.  Shared by the local pipe worker and
-    every :class:`ShardServer` connection.
+    same-shard traffic overlaps.  Shared by the local shard worker and
+    every :class:`ShardServer` connection.  A handler's exception is
+    replied as data (:func:`~repro.service.models.error_to_wire`): the
+    front rebuilds a library error as itself and anything else as a
+    :class:`ServiceError` naming its type.
     """
 
     def handle(
@@ -304,7 +281,7 @@ def _serve_shard(transport: ShardTransport, service) -> None:
         # repro: allow[BROAD-EXCEPT] — the serving loop answers every
         # request: handler errors become error replies, never a dead channel
         except BaseException as exc:
-            reply = (req_id, False, _safe_exception(exc))
+            reply = (req_id, False, exc)
         try:
             transport.send(reply)
         # repro: allow[BROAD-EXCEPT] — a reply that cannot serialize must
@@ -363,15 +340,16 @@ def _serve_shard(transport: ShardTransport, service) -> None:
         transport.close()
 
 
-def _shard_main(conn, config: ServiceConfig) -> None:  # pragma: no cover
-    """Entry point of one local shard worker process.  (Covered by the
+def _shard_main(sock, config: ServiceConfig) -> None:  # pragma: no cover
+    """Entry point of one local shard worker process, serving the
+    front over its end of a socketpair.  (Covered by the
     subprocess-driving tests in ``tests/test_sharding.py``, which
     coverage cannot see.)"""
     from .core import PartitionService
 
     service = PartitionService(config=config)
     try:
-        _serve_shard(PipeTransport(conn), service)
+        _serve_shard(SocketTransport(sock), service)
     finally:
         service.close()
 
@@ -416,7 +394,7 @@ class ShardServer:
             raise
         self.address = self.listener.address
         self._lock = threading.Lock()
-        self._transports: list[ShardTransport] = []
+        self._transports: list[SocketTransport] = []
         self._threads: list[threading.Thread] = []
         self._accept_thread: Optional[threading.Thread] = None
         self._closed = False
@@ -443,7 +421,7 @@ class ShardServer:
                 self._threads.append(thread)
             thread.start()
 
-    def _serve_connection(self, transport: ShardTransport) -> None:
+    def _serve_connection(self, transport: SocketTransport) -> None:
         """One connection's serving loop, self-pruning on exit — a
         long-lived server fronted by reconnecting fleets must not
         accumulate every dead connection's transport and thread."""
@@ -509,12 +487,12 @@ class _Reply:
 
 class _ShardHandle:
     """Front-side endpoint of one shard: multiplexed request/reply over
-    a :class:`ShardTransport`; ``process`` is set for local shards."""
+    a :class:`SocketTransport`; ``process`` is set for local shards."""
 
     def __init__(
         self,
         index: int,
-        transport: ShardTransport,
+        transport: SocketTransport,
         process=None,
         on_death=None,
     ) -> None:
@@ -571,7 +549,7 @@ class _ShardHandle:
                 raise ShardDiedError(f"shard {self.index} is not running")
             self._pending[req_id] = reply
         try:
-            # transports serialize send internally; no handle-level lock
+            # the transport serializes send internally; no handle lock
             self.transport.send(message)
         except (OSError, ValueError, EOFError) as exc:
             with self._pending_lock:
@@ -583,13 +561,13 @@ class _ShardHandle:
                 f"shard {self.index} unreachable: {exc}"
             ) from exc
         except ServiceError:
-            # codec rejection (oversized frame, unencodable value):
-            # the channel is intact — both codecs fail before writing a
+            # codec rejection (oversized frame, unencodable message):
+            # the channel is intact — the codec fails before writing a
             # byte — so only this request fails; drop its pending entry
             with self._pending_lock:
                 self._pending.pop(req_id, None)
             raise
-        except Exception as exc:  # e.g. pickle errors on the pipe lane
+        except Exception as exc:  # e.g. a value JSON cannot encode
             with self._pending_lock:
                 self._pending.pop(req_id, None)
             raise ServiceError(
@@ -647,6 +625,10 @@ class _ShardHandle:
             if self.process.is_alive():  # pragma: no cover - stuck worker
                 self.process.terminate()
                 self.process.join(timeout)
+            if self.process.exitcode is not None:
+                # free the process's sentinel pipe now, not whenever the
+                # garbage collector reaches this handle
+                self.process.close()
         self.transport.close()
 
 
@@ -946,18 +928,20 @@ class ShardedPartitionService:
 
     def _spawn_local(self, index: int, ctx=None) -> _ShardHandle:
         ctx = self._mp_ctx if ctx is None else ctx
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        front_end, shard_end = socket.socketpair()
         process = ctx.Process(
             target=_shard_main,
-            args=(child_conn, self._shard_config(index)),
+            args=(shard_end, self._shard_config(index)),
             name=f"repro-shard-{index}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
+        with shard_end:
+            # the started child holds its own copy (inherited under
+            # fork, passed over exec under spawn); the front keeps none
+            process.start()
         return _ShardHandle(
             index,
-            PipeTransport(parent_conn),
+            SocketTransport(front_end),
             process=process,
             on_death=self._on_shard_death,
         )
@@ -1026,8 +1010,8 @@ class ShardedPartitionService:
         The replacement keeps the slot index — digest→shard routing is
         a pure function of (digest, n_shards), so re-routing after a
         restart is deterministic by construction — and its service
-        restores the dead shard's snapshot store before the new pipe
-        serves a single request.
+        restores the dead shard's snapshot store before the new
+        channel serves a single request.
         """
         try:
             # restart with the *spawn* context: the constructor forks
@@ -1239,6 +1223,8 @@ class ShardedPartitionService:
                     "restarts": slot.restarts,
                     "in_ring": slot.index in members,
                     "probe_failures": slot.probe_failures,
+                    # "pipe" still labels the local lane (a socketpair
+                    # to a child process) in the stats schema
                     "transport": "pipe" if self._local else "socket",
                     **(
                         {"address": slot.address}

@@ -1,25 +1,21 @@
-"""Shard transports: local pipes and remote sockets behind one interface.
+"""The shard transport: binary frames over a stream socket.
 
 The sharded front (:mod:`repro.service.sharding`) multiplexes request
 messages ``(req_id, verb, args)`` — with an optional fourth element
 carrying a trace context when the front propagates one (see
 :mod:`repro.obs.trace`) — and replies ``(req_id, ok, payload)`` over
-one duplex channel per shard.  This module abstracts that channel as
-:class:`ShardTransport` with two implementations:
+one duplex channel per shard.  Every channel is a
+:class:`SocketTransport`: a :func:`socket.socketpair` to a local shard's
+child process, or a TCP connection to a shard server anywhere
+(:func:`connect_shard`, :class:`ShardListener`).  Both carry the same
+length-prefixed **binary frames**, and errors cross as ``{type,
+message}`` data (:func:`~repro.service.models.error_to_wire`), never as
+pickled objects: attaching a remote shard must not give it
+arbitrary-code-execution over the front, and a local shard speaks the
+same wire, so the two lanes answer and fail alike.
 
-* :class:`PipeTransport` — the local lane: a :func:`multiprocessing.Pipe`
-  connection to a child shard process.  Messages travel pickled; one
-  whose array payloads reach :data:`SHM_MIN_BYTES` crosses instead as
-  a binary frame header plus a :mod:`multiprocessing.shared_memory`
-  segment holding the array buffers.
-* :class:`SocketTransport` — the remote lane: a TCP socket carrying
-  length-prefixed **binary frames**, always.  Errors cross as ``{type,
-  message}`` data (:func:`~repro.service.models.error_to_wire`), never
-  as pickled objects: attaching a remote shard must not give it
-  arbitrary-code-execution over the front.
-
-A socket frame is a 4-byte big-endian unsigned length followed by the
-frame body, capped at :data:`MAX_FRAME_BYTES`.  The body is the
+A frame is a 4-byte big-endian unsigned length followed by the frame
+body, capped at :data:`MAX_FRAME_BYTES`.  The body is the
 :data:`BINARY_MAGIC` byte, a 4-byte header length, a compact JSON
 header, then the array buffers back to back as raw little-endian
 C-order bytes.  The header holds every value in the lossless payload
@@ -31,18 +27,12 @@ byte-count table.  CSR edge arrays, weights, and assignments cross as
 one ``memoryview`` gather-write, and a socket-attached shard answers
 bit-identically to a local one.
 
-Each lane keeps the codec that measured fastest for it (see
-``benchmarks/NOTES.md``): on a pipe, pickle beats the binary frame at
-serving sizes (the frame's decode rebuilds the CSR) and shared memory
-beats pickle from :data:`SHM_MIN_BYTES` up; a socket peer must never
-be unpickled.
-
 A peer that disappears surfaces as
-:class:`EOFError`/:class:`OSError` from :meth:`recv`, which is exactly
-what the front's per-shard reader thread treats as shard death; a
-malformed or oversized frame, or a body without the magic byte,
-surfaces as :class:`ServiceError` *after* the full frame is consumed,
-so the stream stays in sync and the connection usable.
+:class:`EOFError`/:class:`OSError` from :meth:`SocketTransport.recv`,
+which is exactly what the front's per-shard reader thread treats as
+shard death; a malformed or oversized frame, or a body without the
+magic byte, surfaces as :class:`ServiceError` *after* the full frame is
+consumed, so the stream stays in sync and the connection usable.
 :class:`ShardListener` is the accept side used by the standalone shard
 server (``repro-partition serve --shard-listen``).
 """
@@ -73,10 +63,7 @@ from .models import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "BINARY_MAGIC",
-    "SHM_MIN_BYTES",
     "SHUTDOWN",
-    "ShardTransport",
-    "PipeTransport",
     "SocketTransport",
     "ShardListener",
     "connect_shard",
@@ -89,20 +76,11 @@ __all__ = [
 #: prefix while leaving ample room for the largest mesh payloads
 MAX_FRAME_BYTES = 256 << 20
 
-#: first body byte of every socket frame: a body that does not start
-#: with it is rejected whole instead of being misparsed
+#: first body byte of every frame: a body that does not start with it
+#: is rejected whole instead of being misparsed
 BINARY_MAGIC = 0x00
 
-#: pipe messages whose array payloads reach this many bytes cross via a
-#: shared-memory segment instead of the pipe buffer (one copy in, one
-#: copy out, no kernel pipe transit); below it, plain pickle wins
-SHM_MIN_BYTES = 4 << 20
-
-#: marker heading a shared-memory pipe message ``(tag, header, name)``
-#: — never collides with protocol tuples, whose first element is an int
-_SHM_TAG = "__shm__"
-
-#: dtype whitelist of the binary lane: everything that crosses the
+#: dtype whitelist of the binary frame: everything that crosses the
 #: shard boundary is int64 labels/indices or float64 weights/coords
 _ND_DTYPES = {"i8": "<i8", "f8": "<f8"}
 
@@ -138,7 +116,7 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def _encode_value(value, arrays) -> dict:
     """One message value → its tagged header form; ``arrays`` is the
-    ndarray hook of :func:`_encode_binary_parts`."""
+    ndarray hook of :func:`encode_frame_binary`."""
     if isinstance(value, (PartitionRequest, RefineRequest, UpdateRequest)):
         return {"t": "req", "v": value.to_payload(arrays=arrays)}
     if isinstance(value, CSRGraph):
@@ -240,13 +218,16 @@ def _obj_to_message(obj: dict):
     raise ServiceError(f"unrecognized shard frame: keys={sorted(obj)[:6]!r}")
 
 
-def _encode_binary_parts(message) -> tuple[bytes, list]:
-    """One message → ``(JSON header bytes, [ndarray buffers])``.
+def encode_frame_binary(message) -> list:
+    """One message → binary frame body segments ``[head, buffer, ...]``
+    ready for a gather-write.
 
-    The header is the :func:`_message_to_obj` object with every ndarray
+    ``head`` carries the magic byte, the header length, and the JSON
+    header: the :func:`_message_to_obj` object with every ndarray
     replaced by a ``{"__nd__": [index, dtype code, shape]}`` reference
-    and a top-level ``"bufs"`` byte-count table appended; the buffers
-    are contiguous little-endian arrays in reference order.
+    and a top-level ``"bufs"`` byte-count table appended.  Each buffer
+    is a flat ``memoryview`` of a contiguous little-endian array, in
+    reference order.
     """
     bufs: list = []
 
@@ -260,14 +241,7 @@ def _encode_binary_parts(message) -> tuple[bytes, list]:
 
     obj = _message_to_obj(message, arrays)
     obj["bufs"] = [int(a.nbytes) for a in bufs]
-    return json.dumps(obj, separators=(",", ":")).encode(), bufs
-
-
-def encode_frame_binary(message) -> list:
-    """One message → binary frame body segments ``[head, buffer, ...]``
-    ready for a gather-write (``head`` carries magic byte, header
-    length, and header; each buffer is a flat ``memoryview``)."""
-    header, bufs = _encode_binary_parts(message)
+    header = json.dumps(obj, separators=(",", ":")).encode()
     head = struct.pack(">BI", BINARY_MAGIC, len(header)) + header
     return [head] + [memoryview(a).cast("B") for a in bufs]
 
@@ -284,18 +258,29 @@ def _resolve_nd(value, materialize):
     return value
 
 
-def _decode_binary_segment(header: bytes, data, exact: bool = True):
-    """Decode a binary frame from its JSON header and buffer bytes.
+def decode_frame_binary(body):
+    """Inverse of :func:`encode_frame_binary` for a whole frame body
+    *after* the magic byte: ``u32 BE header length | header | buffers``.
 
-    ``exact`` requires the buffer section to match the declared table
-    byte-for-byte (the socket lane, where the peer is untrusted); the
-    shared-memory lane passes ``False`` because segments are rounded up
-    to page size.  Every validation failure raises :class:`ServiceError`
+    Decoded arrays are zero-copy views into ``body``, whose buffer
+    section must match the declared table byte for byte (the peer is
+    untrusted).  Every validation failure raises :class:`ServiceError`
     — the caller has already consumed the whole frame, so the transport
     stream stays in sync.
     """
+    view = memoryview(body).cast("B")
+    if len(view) < 4:
+        raise ServiceError(
+            "binary shard frame truncated before its header length"
+        )
+    (hlen,) = struct.unpack_from(">I", view, 0)
+    if hlen > len(view) - 4:
+        raise ServiceError(
+            f"binary shard header of {hlen} bytes overruns the "
+            f"{len(view)}-byte frame"
+        )
     try:
-        obj = json.loads(bytes(header).decode())
+        obj = json.loads(bytes(view[4:4 + hlen]).decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ServiceError(f"malformed binary shard header: {exc}") from exc
     if not isinstance(obj, dict):
@@ -306,9 +291,9 @@ def _decode_binary_segment(header: bytes, data, exact: bool = True):
         for n in table
     ):
         raise ServiceError("binary shard header buffer table is malformed")
-    data = memoryview(data).cast("B")
+    data = view[4 + hlen:]
     total = sum(table)
-    if total > len(data) or (exact and total != len(data)):
+    if total != len(data):
         raise ServiceError(
             f"binary shard frame declares {total} buffer bytes but "
             f"carries {len(data)}"
@@ -349,205 +334,29 @@ def _decode_binary_segment(header: bytes, data, exact: bool = True):
     )
 
 
-def decode_frame_binary(body):
-    """Inverse of :func:`encode_frame_binary` for a whole frame body
-    *after* the magic byte: ``u32 BE header length | header | buffers``.
-    Decoded arrays are zero-copy views into ``body``."""
-    view = memoryview(body)
-    if len(view) < 4:
-        raise ServiceError(
-            "binary shard frame truncated before its header length"
-        )
-    (hlen,) = struct.unpack_from(">I", view, 0)
-    if hlen > len(view) - 4:
-        raise ServiceError(
-            f"binary shard header of {hlen} bytes overruns the "
-            f"{len(view)}-byte frame"
-        )
-    return _decode_binary_segment(
-        bytes(view[4:4 + hlen]), view[4 + hlen:], exact=True
-    )
-
-
 # ----------------------------------------------------------------------
-# shared-memory lane (pipe transport)
+# transport
 # ----------------------------------------------------------------------
 
-def _array_nbytes(value) -> int:
-    """Total ndarray payload bytes in a message — the shared-memory
-    lane's routing estimate (cheap attribute sums, no encoding)."""
-    if isinstance(value, (list, tuple)):
-        return sum(_array_nbytes(v) for v in value)
-    if isinstance(value, CSRGraph):
-        n = (
-            value.edges_u.nbytes
-            + value.edges_v.nbytes
-            + value.edge_weights.nbytes
-            + value.node_weights.nbytes
-        )
-        if value.coords is not None:
-            n += value.coords.nbytes
-        return n
-    if isinstance(value, (PartitionRequest, UpdateRequest)):
-        return _array_nbytes(value.graph)
-    if isinstance(value, RefineRequest):
-        return _array_nbytes(value.graph) + value.assignment.nbytes
-    if isinstance(value, JobResult):
-        return np.asarray(value.assignment).nbytes
-    return 0
+class SocketTransport:
+    """One duplex message channel between the front and a shard:
+    length-prefixed binary frames over a stream socket (a local
+    shard's socketpair or a TCP connection), raw array buffers
+    gather-written after a compact header.
 
-
-def _shm_unregister(shm) -> None:
-    """Drop this process's resource-tracker registration of a segment
-    it will not unlink itself (the sender hands ownership to the
-    receiver, which unlinks after copying the segment out)."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    # repro: allow[BROAD-EXCEPT] — tracker bookkeeping must never fail a
-    # send/recv that already succeeded; worst case is a shutdown warning
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def _shm_unlink(shm) -> None:
-    """Unlink a segment.  A successful ``unlink()`` also drops the
-    tracker registration, so only a failed one leaves it to drop here —
-    unregistering twice makes the tracker process print a traceback."""
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - raced
-        _shm_unregister(shm)
-
-
-def _recv_shm(message):
-    """Decode a ``(_SHM_TAG, header, name)`` pipe message: attach, copy
-    the segment out, unlink, then decode from the owned copy."""
-    from multiprocessing import shared_memory
-
-    _, header, name = message
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError) as exc:
-        raise ServiceError(
-            f"shared-memory shard frame {name!r} vanished: {exc}"
-        ) from exc
-    try:
-        data = bytes(shm.buf)
-    finally:
-        shm.close()
-        _shm_unlink(shm)
-    return _decode_binary_segment(header, data, exact=False)
-
-
-# ----------------------------------------------------------------------
-# transports
-# ----------------------------------------------------------------------
-
-class ShardTransport:
-    """One duplex message channel between the front and a shard.
-
-    ``send``/``recv`` move whole multiplexer messages; :meth:`recv`
-    raises :class:`EOFError` or :class:`OSError` when the peer is gone
-    (the reader thread's shard-death signal), and :meth:`close` must be
-    safe to call from another thread to unblock a parked :meth:`recv`.
+    ``send`` is serialized internally — the shard worker replies from
+    multiple handler threads, and whole frames must not interleave.
+    :meth:`recv` raises :class:`EOFError` or :class:`OSError` when the
+    peer is gone (the reader thread's shard-death signal), and
+    :meth:`close` is safe to call from another thread: it shuts the
+    socket down, which wakes a parked :meth:`recv`.
     """
-
-    def send(self, message) -> None:
-        raise NotImplementedError
-
-    def recv(self):
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class PipeTransport(ShardTransport):
-    """The local lane: a multiprocessing pipe, pickled messages.
-
-    ``send`` is serialized internally — Connection.send is not safe
-    under concurrent writers, and the shard worker replies from
-    multiple handler threads.  Messages whose array payloads reach
-    ``shm_threshold`` (:data:`SHM_MIN_BYTES`) cross via a shared-memory
-    segment (binary header + raw buffers) instead of the pickled pipe
-    buffer — same decoded values either way."""
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self._send_lock = threading.Lock()
-        self.shm_threshold = SHM_MIN_BYTES
-
-    def send(self, message) -> None:
-        if _array_nbytes(message) >= self.shm_threshold:
-            self._send_shm(message)
-            return
-        with self._send_lock:
-            # repro: allow[LOCK-HELD-BLOCKING] — holding the send lock across
-            # the write IS the serialization: whole frames must hit the pipe
-            # atomically, and the lock guards nothing else
-            self.conn.send(message)
-
-    def _send_shm(self, message) -> None:
-        """Large-array lane: copy the binary-frame buffers into a fresh
-        shared-memory segment and send only ``(tag, header, name)``."""
-        from multiprocessing import shared_memory
-
-        header, bufs = _encode_binary_parts(message)
-        nbytes = sum(a.nbytes for a in bufs)
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        try:
-            off = 0
-            for a in bufs:
-                flat = memoryview(a).cast("B")
-                shm.buf[off:off + len(flat)] = flat
-                off += len(flat)
-            with self._send_lock:
-                # repro: allow[LOCK-HELD-BLOCKING] — same serialization
-                # contract as the plain lane: one whole message per send
-                self.conn.send((_SHM_TAG, header, shm.name))
-        except BaseException:
-            # receiver never saw the name — reclaim the segment here
-            shm.close()
-            _shm_unlink(shm)
-            raise
-        # the receiver copies the segment out and unlinks it; drop our
-        # tracker registration so this process doesn't double-unlink
-        shm.close()
-        _shm_unregister(shm)
-
-    def recv(self):
-        message = self.conn.recv()
-        if (
-            isinstance(message, tuple)
-            and len(message) == 3
-            and message[0] == _SHM_TAG
-        ):
-            return _recv_shm(message)
-        return message
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def __repr__(self) -> str:
-        return "PipeTransport()"
-
-
-class SocketTransport(ShardTransport):
-    """The remote lane: length-prefixed binary frames over a socket
-    (raw array buffers gather-written after a compact header)."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._send_lock = threading.Lock()
-        try:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP socket pairs
-            pass
 
     def send(self, message) -> None:
         segments = encode_frame_binary(message)
@@ -590,7 +399,7 @@ class SocketTransport(ShardTransport):
                 f"incoming shard frame of {length} bytes exceeds "
                 f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
             )
-        body = self._recv_into_exact(length)
+        body = self._recv_exact(length)
         if not body or body[0] != BINARY_MAGIC:
             raise ServiceError(
                 f"shard frame of {length} bytes does not start with the "
@@ -598,27 +407,16 @@ class SocketTransport(ShardTransport):
             )
         return decode_frame_binary(memoryview(body)[1:])
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self.sock.recv(min(remaining, 1 << 20))
-            if not chunk:
-                raise EOFError("shard socket closed")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _recv_into_exact(self, n: int) -> bytearray:
-        """Read exactly ``n`` body bytes into one buffer (decoded binary
-        arrays stay views into it — no reassembly copy)."""
+    def _recv_exact(self, n: int) -> bytearray:
+        """Read exactly ``n`` bytes into one buffer (decoded arrays stay
+        views into a frame body — no reassembly copy)."""
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
         while got < n:
             read = self.sock.recv_into(view[got:], n - got)
             if not read:
-                raise EOFError("shard socket closed mid-frame")
+                raise EOFError("shard socket closed")
             got += read
         return buf
 

@@ -335,6 +335,28 @@ class TestWire:
         )
         assert rule_ids(report) == ["WIRE-PICKLE"]
 
+    def test_multiprocessing_pipe_in_wire_module_fires_once(self, tmp_path):
+        """A Connection pickles every send without importing pickle."""
+        report = findings_for(
+            tmp_path,
+            "def spawn(ctx):\n"
+            "    return ctx.Pipe(duplex=True)\n",
+            rules=["WIRE-PICKLE"],
+            name="service/sharding.py",
+        )
+        assert rule_ids(report) == ["WIRE-PICKLE"]
+
+    def test_socketpair_in_wire_module_is_clean(self, tmp_path):
+        report = findings_for(
+            tmp_path,
+            "import socket\n"
+            "def spawn():\n"
+            "    return socket.socketpair()\n",
+            rules=["WIRE-PICKLE"],
+            name="service/sharding.py",
+        )
+        assert rule_ids(report) == []
+
     def test_pickle_allowed_in_persistence(self, tmp_path):
         report = findings_for(
             tmp_path,

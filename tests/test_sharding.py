@@ -457,6 +457,16 @@ class TestBinaryFrames:
         assert not back.flags.owndata  # view into the frame
         assert np.array_equal(back, result.assignment)
 
+    def test_decoded_graph_owns_its_arrays(self, graph):
+        """A request graph decodes into arrays of its own: a shard
+        interns it, and a view would pin the whole received frame."""
+        back = _roundtrip((7, "submit", (PartitionRequest(graph, 4),)))[2][0]
+        arrays = [back.graph.edges_u, back.graph.edges_v,
+                  back.graph.edge_weights, back.graph.node_weights]
+        if back.graph.coords is not None:
+            arrays.append(back.graph.coords)
+        assert all(arr.flags.owndata for arr in arrays)
+
     def test_truncated_header_raises_service_error(self, graph):
         from repro.service.transport import decode_frame_binary
 
@@ -529,84 +539,6 @@ class TestBinaryFrames:
         finally:
             ta.close()
             tb.close()
-
-    def test_pipe_shared_memory_lane_roundtrip(self, graph):
-        """Above the size threshold the pipe lane ships raw buffers via
-        shared memory; decoded values match the pickle lane exactly."""
-        import multiprocessing as mp
-
-        from repro.service.transport import PipeTransport
-
-        left, right = mp.Pipe()
-        ta, tb = PipeTransport(left), PipeTransport(right)
-        try:
-            req = PartitionRequest(graph, 4, seed=3, ga=GA)
-            ta.send((1, "submit", (req,)))          # pickle lane
-            ta.shm_threshold = 1                     # force the shm lane
-            ta.send((2, "submit", (req,)))          # shared-memory lane
-            m1, m2 = tb.recv(), tb.recv()
-            assert m1[2][0].graph == m2[2][0].graph == graph
-            assert np.array_equal(
-                m1[2][0].graph.edge_weights, m2[2][0].graph.edge_weights
-            )
-        finally:
-            ta.close()
-            tb.close()
-
-    def test_pipe_lane_carries_digest_only_requests(self, graph):
-        """A request without a graph sizes to zero array bytes (the
-        shared-memory threshold never fires) and arrives with its
-        digest; NeedsGraph crosses as its own type."""
-        import multiprocessing as mp
-
-        from repro.service.sharding import _safe_exception
-        from repro.service.transport import PipeTransport, _array_nbytes
-
-        req = PartitionRequest(
-            None, 4, seed=3, ga=GA, graph_digest=graph_digest(graph)
-        )
-        assert _array_nbytes((1, "submit", (req,))) == 0
-        left, right = mp.Pipe()
-        ta, tb = PipeTransport(left), PipeTransport(right)
-        try:
-            ta.shm_threshold = 1
-            ta.send((1, "submit", (req,)))
-            ta.send((2, False, _safe_exception(NeedsGraph("lost"))))
-            assert tb.recv()[2][0] == req
-            _, ok, exc = tb.recv()
-            assert not ok and type(exc) is NeedsGraph
-        finally:
-            ta.close()
-            tb.close()
-
-    def test_shared_memory_lane_balances_resource_tracker(
-        self, graph, monkeypatch
-    ):
-        """One shared-memory send/recv unregisters each segment exactly
-        as often as it registers it: one unregister too many makes the
-        tracker process print a KeyError traceback per large message."""
-        import multiprocessing as mp
-        from multiprocessing import resource_tracker
-
-        from repro.service.transport import PipeTransport
-
-        calls = {"register": [], "unregister": []}
-        for op in calls:
-            monkeypatch.setattr(
-                resource_tracker, op,
-                lambda name, rtype, op=op: calls[op].append((name, rtype)),
-            )
-        left, right = mp.Pipe()
-        ta, tb = PipeTransport(left), PipeTransport(right)
-        try:
-            ta.shm_threshold = 1
-            ta.send((1, "submit", (PartitionRequest(graph, 4),)))
-            assert tb.recv()[2][0].graph == graph
-        finally:
-            ta.close()
-            tb.close()
-        assert calls["register"]
-        assert sorted(calls["register"]) == sorted(calls["unregister"])
 
     def test_attach_refuses_other_ring_protocol(self):
         """A shard whose ``ping`` reports another ring protocol is
@@ -743,6 +675,36 @@ class TestFailover:
             assert np.array_equal(direct.assignment, ref.assignment)
             health = svc.shard_health()[shard]
             assert health["restarts"] == 1 and health["state"] == "up"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd"
+    )
+    def test_local_lane_leaks_no_file_descriptors(self, graph):
+        """The front keeps no copy of a shard's socketpair end after
+        the first spawn, a supervised restart or a resize growth, and
+        close() frees every shard's descriptors at once: open → kill
+        and restart → grow → close leaves the front's count unchanged."""
+        import gc
+        import os
+
+        def cycle() -> None:
+            with ShardedPartitionService(n_shards=1, n_workers=1) as svc:
+                svc._slots[0].handle.process.kill()
+                assert _wait_for(
+                    lambda: svc.shard_health()[0]["state"] == "up"
+                    and svc.shard_health()[0]["restarts"] == 1
+                )
+                svc.resize(2)
+                svc.submit(PartitionRequest(graph, 4, method="greedy"))
+
+        # warm-up: the first spawn-context start launches
+        # multiprocessing's resource tracker, whose descriptor stays
+        # open for the life of the process
+        cycle()
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        cycle()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_session_failover_bit_identical_to_uninterrupted(
         self, graph, lock_graph
@@ -2007,31 +1969,63 @@ class _WontPickle(Exception):
 
 
 class TestSafeException:
-    def test_round_trippable_exception_passes_through(self):
-        from repro.service.sharding import _safe_exception
+    """Shard-side exceptions cross the wire as ``{type, message}`` data:
+    a library error comes back as itself, anything else as a
+    ServiceError naming its type — whether or not it would pickle."""
 
-        exc = ServiceError("boom")
-        assert _safe_exception(exc) is exc
+    def test_round_trippable_exception_passes_through(self):
+        _, ok, out = _roundtrip((1, False, ServiceError("boom")))
+        assert not ok
+        assert type(out) is ServiceError
+        assert str(out) == "boom"
 
     def test_unpicklable_exception_falls_back(self):
-        from repro.service.sharding import _safe_exception
-
-        out = _safe_exception(_WontPickle("x"))
+        _, ok, out = _roundtrip((1, False, _WontPickle("x")))
+        assert not ok
         assert type(out) is ServiceError
-        assert "_WontPickle" in str(out)
+        assert str(out) == "_WontPickle: x"
 
     def test_pickles_but_wont_unpickle_falls_back(self):
-        """The satellite bugfix: an exception that *dumps* but cannot be
-        reconstructed front-side must be converted shard-side, not
-        allowed to detonate in the front's reply dispatch."""
-        import pickle
-
-        from repro.service.sharding import _safe_exception
-
-        exc = _PicklesButWontUnpickle("a", "b")
-        data = pickle.dumps(exc)  # dumps fine...
-        with pytest.raises(TypeError):
-            pickle.loads(data)  # ...loads does not
-        out = _safe_exception(exc)
+        """An exception that dumps but cannot be rebuilt from its
+        pickle crosses as data like any other."""
+        _, ok, out = _roundtrip((1, False, _PicklesButWontUnpickle("a", "b")))
+        assert not ok
         assert type(out) is ServiceError
-        assert "_PicklesButWontUnpickle" in str(out) and "a:b" in str(out)
+        assert str(out) == "_PicklesButWontUnpickle: a:b"
+
+    def test_non_library_error_answers_alike_on_both_lanes(
+        self, graph, monkeypatch
+    ):
+        """A shard-side ValueError reaches the caller as the same
+        ServiceError, and HTTP as the same 400, through local shards
+        and through an attached shard server."""
+        from repro.service import dispatch_request
+
+        def broken_submit(self, request, trace=None):
+            raise ValueError("shard-side bug")
+
+        # local shards fork after the patch and inherit it; the shard
+        # server runs in this process
+        monkeypatch.setattr(PartitionService, "submit", broken_submit)
+        request = PartitionRequest(graph, 4, method="greedy")
+        body = json.dumps(request.to_payload()).encode()
+        seen = []
+        with ShardServer(n_workers=1) as server:
+            server.start()
+            for build in (
+                lambda: ShardedPartitionService(n_shards=1, n_workers=1),
+                lambda: ShardedPartitionService(attach=[server.address]),
+            ):
+                with build() as svc:
+                    with pytest.raises(Exception) as excinfo:
+                        svc.submit(request)
+                    status, _, data = dispatch_request(
+                        svc, "POST", "/v1/partition", body
+                    )
+                seen.append((
+                    type(excinfo.value), str(excinfo.value), status,
+                    json.loads(data),
+                ))
+        local, attached = seen
+        assert local == attached
+        assert local[:3] == (ServiceError, "ValueError: shard-side bug", 400)
