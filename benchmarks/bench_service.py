@@ -230,6 +230,7 @@ def phase_http_replay(n_requests: int) -> dict:
         wall_s = time.perf_counter() - t0
         stats = client.stats()
     finally:
+        client.close()
         server.service.close()
         server.shutdown()
         server.server_close()
@@ -405,6 +406,7 @@ def phase_concurrency(n_clients: int) -> dict:
         wall_s = time.perf_counter() - t0
         hung = sum(t.is_alive() for t in threads)
     finally:
+        client.close()  # every worker thread's connection
         server.service.close()
         server.shutdown()
         server.server_close()

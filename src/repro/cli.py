@@ -448,16 +448,16 @@ def _run_submit(args: argparse.Namespace) -> int:
     from .service import HTTPServiceClient
 
     graph = _load_graph(args.graph)
-    client = HTTPServiceClient(args.url)
     try:
-        result = client.partition(
-            graph,
-            args.parts,
-            method=args.method,
-            fitness_kind=args.fitness,
-            seed=args.seed,
-            time_budget=args.time_budget,
-        )
+        with HTTPServiceClient(args.url) as client:
+            result = client.partition(
+                graph,
+                args.parts,
+                method=args.method,
+                fitness_kind=args.fitness,
+                seed=args.seed,
+                time_budget=args.time_budget,
+            )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -515,6 +515,8 @@ def _run_ring(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     ring = answer.get("ring", {})
     if ring:
         print(

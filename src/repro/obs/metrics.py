@@ -65,6 +65,12 @@ def _label_key(labels: dict) -> str:
     return json.dumps(labels, sort_keys=True, separators=(",", ":"))
 
 
+def _series_key(name: str, labels: dict) -> tuple:
+    """A live series' key: its name and its sorted ``(label, value)``
+    pairs (a tuple is far cheaper to build than :func:`_label_key`)."""
+    return (name, *sorted(labels.items()))
+
+
 class _Histogram:
     __slots__ = ("le", "counts", "total", "count")
 
@@ -87,7 +93,10 @@ class _Histogram:
 
 class MetricsRegistry:
     """Thread-safe metric store; ``_lock`` is a leaf lock (plain dict
-    mutation only — provider functions run outside it)."""
+    mutation only — provider functions run outside it).
+
+    Updates key a series by :func:`_series_key`; only :meth:`snapshot`
+    orders series by their labels' JSON form."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -98,7 +107,7 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        key = (name, _label_key(labels))
+        key = _series_key(name, labels)
         with self._lock:
             entry = self._counters.get(key)
             self._counters[key] = (
@@ -107,7 +116,7 @@ class MetricsRegistry:
             )
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        key = (name, _label_key(labels))
+        key = _series_key(name, labels)
         with self._lock:
             self._gauges[key] = (labels, float(value))
 
@@ -118,7 +127,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
         **labels,
     ) -> None:
-        key = (name, _label_key(labels))
+        key = _series_key(name, labels)
         with self._lock:
             hist = self._hists.get(key)
             if hist is None:
@@ -174,7 +183,7 @@ class MetricsRegistry:
                 for key, (labels, hist) in self._hists.items()
             ]
         for kind, name, labels, value in provided:
-            key = (name, _label_key(labels))
+            key = _series_key(name, labels)
             target = counters if kind == "counter" else gauges
             target[key] = (labels, value)
         return {
@@ -188,10 +197,13 @@ class MetricsRegistry:
 
 
 def _series(entries: dict) -> list:
+    """``{key: (labels, value)}`` → snapshot rows, ordered by name and
+    then by the labels' sorted JSON form."""
     return [
         {"name": key[0], "labels": labels, "value": value}
         for key, (labels, value) in sorted(
-            entries.items(), key=lambda item: item[0]
+            entries.items(),
+            key=lambda item: (item[0][0], _label_key(item[1][0])),
         )
     ]
 

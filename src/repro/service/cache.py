@@ -114,12 +114,15 @@ class LRUBytesCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str):
-        """The cached value, or ``None`` (which is never a valid value)."""
+    def get(self, key: str, count_miss: bool = True):
+        """The cached value, or ``None`` (which is never a valid value).
+        ``count_miss=False`` counts only a hit: a caller that will look
+        the key up again on a miss counts that miss there."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
@@ -272,9 +275,11 @@ class ResultCache(LRUBytesCache):
     Every hit is a fresh ``cache_hit`` copy the caller may mutate.
     """
 
-    def lookup(self, key: str) -> Optional[JobResult]:
+    def lookup(
+        self, key: str, count_miss: bool = True
+    ) -> Optional[JobResult]:
         """A *copy* of the cached result (caller owns mutation flags)."""
-        cached = self.get(key)
+        cached = self.get(key, count_miss)
         if cached is None:
             return None
         return cached.replace(cache_hit=True)
@@ -300,9 +305,11 @@ class ContentStore:
         self.results = ResultCache(cache_bytes // 2)
         self.graphs = GraphStore(cache_bytes - cache_bytes // 2, max_seeds)
 
-    def lookup_result(self, key: str) -> Optional[JobResult]:
+    def lookup_result(
+        self, key: str, count_miss: bool = True
+    ) -> Optional[JobResult]:
         """A *copy* of the cached result (caller owns mutation flags)."""
-        return self.results.lookup(key)
+        return self.results.lookup(key, count_miss)
 
     def store_result(self, key: str, result: JobResult) -> None:
         self.results.store(key, result)

@@ -9,15 +9,18 @@ Two interchangeable clients expose the same verbs (``partition``,
   serialization, the right tool for embedding the service in a Python
   application or benchmark;
 * :class:`HTTPServiceClient` speaks the JSON endpoint of
-  :mod:`repro.service.http` over a **persistent keep-alive
-  connection** (one :class:`http.client.HTTPConnection` per thread,
-  reconnecting automatically) — the right tool from another process or
-  machine, and the pairing for the event-loop front: a client-side
-  benchmark measures the server, not per-request TCP setup.  It ships
-  each graph to its server once: a later ``partition`` of the same
-  graph sends the graph's digest alone, and a ``409 needs_graph``
-  answer (the server no longer holds the graph) resends once with the
-  graph.
+  :mod:`repro.service.http` in lean HTTP/1.1 over a **persistent
+  keep-alive connection** (one ``TCP_NODELAY`` socket per thread,
+  reconnecting automatically; each request is one ``sendall`` and each
+  response is read by a strict Content-Length reader) — the right tool
+  from another process or machine, and the pairing for the event-loop
+  front: a client-side benchmark measures the server, not per-request
+  TCP setup or header parsing.  It ships each graph to its server
+  once: a later ``partition`` of the same graph sends the graph's
+  digest alone, and a ``409 needs_graph`` answer (the server no longer
+  holds the graph) resends once with the graph.  ``close()`` closes
+  the connections of every thread, and the client works as a context
+  manager.
 
 Because both run the identical service core, a test or traffic replay
 written against one client holds for the other.
@@ -25,9 +28,11 @@ written against one client holds for the other.
 
 from __future__ import annotations
 
-import http.client
+import itertools
 import json
+import socket
 import threading
+import weakref
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -37,6 +42,7 @@ from ..errors import NeedsGraph, ServiceError, ShardDiedError, UnknownSession
 from ..graphs.csr import CSRGraph
 from .cache import ShippedLRU, graph_digest
 from .core import PartitionService
+from .http import keeps_alive, parse_headers
 from .models import (
     JobResult,
     PartitionRequest,
@@ -52,6 +58,13 @@ __all__ = ["ServiceClient", "HTTPServiceClient"]
 #: so the bound caps memory only; it exceeds the graphs the server's
 #: default graph store holds at the paper's mesh sizes.
 SHIPPED_DIGESTS = 1024
+
+#: response-head ceiling (status line plus headers) of the client's
+#: reader, the front's request-head ceiling mirrored
+MAX_RESPONSE_HEAD = 64 << 10
+
+#: bytes asked of one ``recv`` while a response head is incomplete
+_RECV_CHUNK = 64 << 10
 
 
 class ServiceClient:
@@ -169,16 +182,22 @@ class ServiceClient:
 class HTTPServiceClient:
     """JSON-over-HTTP client for a running ``repro-partition serve``.
 
-    The transport is a persistent keep-alive connection: each thread
-    using the client owns one :class:`http.client.HTTPConnection`,
-    reused across requests and reopened transparently when the server
-    closes it (idle timeout, restart).  A request that fails on a
-    *reused* connection is retried once on a fresh one — that failure
-    mode is the inherent keep-alive race (the server closed the idle
-    connection just as the request departed), and the request cannot
-    have been processed.  A request that fails on a fresh connection is
-    never retried: the service may have seen it, and replaying e.g. a
-    session update must be the caller's explicit decision.
+    The transport is lean HTTP/1.1 on a persistent keep-alive
+    connection: each thread using the client owns one ``TCP_NODELAY``
+    socket, reused across requests and reopened transparently when the
+    server closes it (idle timeout, restart).  A request goes out in
+    one ``sendall`` (head and body), and its response is read by a
+    strict Content-Length reader (:func:`_read_response`).  A request
+    is retried once, on a fresh connection, only when it failed on a
+    *reused* connection before any response byte arrived and not by a
+    timeout: that is the inherent keep-alive race (the server closed
+    the idle connection just as the request departed).  A timeout, a
+    failure after any response byte, or a failure on a fresh
+    connection is never retried: the service may have seen the
+    request, and replaying e.g. a session update must be the caller's
+    explicit decision.  :meth:`close` (or leaving a ``with`` block)
+    closes every connection the client opened, from any thread, and a
+    thread's connection also closes when that thread exits.
 
     ``partition`` is digest-first: the client remembers (in a bounded
     :class:`~repro.service.cache.ShippedLRU` shared by its threads) the
@@ -200,56 +219,102 @@ class HTTPServiceClient:
             )
         self._host = parts.hostname or "127.0.0.1"
         self._port = parts.port or 80
+        self._netloc = parts.netloc or f"{self._host}:{self._port}"
         self._prefix = parts.path.rstrip("/")
-        self._local = threading.local()  # per-thread persistent connection
+        self._local = threading.local()  # per-thread :class:`_Slot`
+        self._slots = itertools.count()
+        #: every socket the client holds open, by its thread's slot key;
+        #: one dict operation is atomic, so :meth:`close` needs no lock
+        #: to take them all
+        self._open: dict[int, socket.socket] = {}
         self._shipped = ShippedLRU(SHIPPED_DIGESTS)
 
     # -- transport -----------------------------------------------------
-    def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
-        """This thread's connection and whether it is being *reused*."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn, True
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout
+    def _slot(self) -> "_Slot":
+        """This thread's slot: only the thread's ``threading.local``
+        holds it, so it dies with the thread, and its finalizer then
+        closes the thread's socket."""
+        slot = getattr(self._local, "slot", None)
+        if slot is None:
+            slot = self._local.slot = _Slot(next(self._slots))
+            weakref.finalize(slot, _close_socket, self._open, slot.key)
+        return slot
+
+    def _connection(self) -> tuple[socket.socket, bool]:
+        """This thread's socket and whether it is being *reused*."""
+        key = self._slot().key
+        sock = self._open.get(key)
+        if sock is not None:
+            return sock, True
+        sock = socket.create_connection(
+            (self._host, self._port), timeout=self.timeout
         )
-        self._local.conn = conn
-        return conn, False
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._open[key] = sock
+        return sock, False
 
     def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        self._local.conn = None
-        if conn is not None:
-            conn.close()
+        _close_socket(self._open, self._slot().key)
 
     def close(self) -> None:
-        """Close this thread's persistent connection (idempotent; the
-        next request simply reconnects)."""
-        self._drop_connection()
+        """Close every connection this client opened, on every thread
+        (idempotent; the next request on any thread reconnects).  Call
+        it once no other thread has a request in flight.  A thread's
+        connection also closes when the thread exits."""
+        while True:
+            try:
+                _, sock = self._open.popitem()
+            except KeyError:
+                return
+            sock.close()
+
+    def __enter__(self) -> "HTTPServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _request(
         self, method: str, path: str, body: Optional[bytes], headers: dict
     ) -> tuple[int, bytes]:
         url = f"{self.base_url}{path}"
+        head = [f"{method} {self._prefix}{path} HTTP/1.1",
+                f"Host: {self._netloc}"]
+        head += [f"{name}: {value}" for name, value in headers.items()]
+        if body is not None:
+            head.append(f"Content-Length: {len(body)}")
+        message = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+        message += body or b""
         for attempt in (0, 1):
-            conn, reused = self._connection()
+            received = bytearray()
+            reused = False
             try:
-                conn.request(method, self._prefix + path, body, headers)
-                resp = conn.getresponse()
-                data = resp.read()  # drain fully: keep-alive needs it
-                if resp.headers.get("Connection", "").lower() == "close":
-                    self._drop_connection()
-                return resp.status, data
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
+                sock, reused = self._connection()
+                sock.sendall(message)
+                status, data, keep_alive = _read_response(sock, received)
+            except TimeoutError as exc:
                 self._drop_connection()
-                if reused and attempt == 0:
+                raise ServiceError(
+                    f"{url} did not answer within {self.timeout:g} s"
+                ) from exc
+            except OSError as exc:
+                self._drop_connection()
+                if reused and attempt == 0 and not received:
                     # stale keep-alive: the server closed the idle
-                    # connection under us; the request was not processed,
-                    # so one retry on a fresh connection is safe
+                    # connection under us before answering; one retry on
+                    # a fresh connection is safe
                     continue
                 raise ServiceError(
                     f"cannot reach service at {url}: {exc}"
                 ) from exc
+            except ValueError as exc:
+                self._drop_connection()
+                raise ServiceError(
+                    f"{url} answered malformed HTTP: {exc}"
+                ) from exc
+            if not keep_alive:
+                self._drop_connection()
+            return status, data
         raise ServiceError(f"cannot reach service at {url}: retries exhausted")
 
     def _call(self, path: str, payload: Optional[dict] = None) -> dict:
@@ -383,3 +448,77 @@ class HTTPServiceClient:
         return self._call(
             "/v1/admin/ring", {"action": "readmit", "shard": int(shard)}
         )
+
+
+class _Slot:
+    """One thread's claim on an :class:`HTTPServiceClient` connection:
+    the key of the thread's socket in the client's open-socket table."""
+
+    __slots__ = ("key", "__weakref__")
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+
+
+def _close_socket(open_sockets: dict, key: int) -> None:
+    """Close and forget the socket held under ``key``, if any."""
+    sock = open_sockets.pop(key, None)
+    if sock is not None:
+        sock.close()
+
+
+def _read_response(
+    sock: socket.socket, buf: bytearray
+) -> tuple[int, bytes, bool]:
+    """Read one HTTP/1.1 response off ``sock``: ``(status, body,
+    keep_alive)``.
+
+    Every byte read lands in ``buf``, so a caller can tell whether any
+    of the response arrived.  The reader is strict: the head must carry
+    one Content-Length (:func:`~repro.service.http.parse_headers`' rule)
+    and no Transfer-Encoding, and nothing may follow the body, since a
+    keep-alive peer sends no response it was not asked for.  A
+    malformed response raises :class:`ValueError`, the peer closing
+    before the response ends :class:`ConnectionError`."""
+    head_end = buf.find(b"\r\n\r\n")
+    while head_end < 0:
+        if len(buf) > MAX_RESPONSE_HEAD:
+            raise ValueError(f"response head over {MAX_RESPONSE_HEAD} bytes")
+        chunk = sock.recv(_RECV_CHUNK)
+        if not chunk:
+            raise ConnectionError(
+                "server closed the connection"
+                + (" mid-response" if buf else "")
+            )
+        buf += chunk
+        head_end = buf.find(b"\r\n\r\n", max(0, len(buf) - len(chunk) - 3))
+    lines = buf[:head_end].decode("latin-1").split("\r\n")
+    version, _, rest = lines[0].partition(" ")
+    code = rest[:3]
+    if (
+        not version.startswith("HTTP/1.")
+        or not (code.isascii() and code.isdigit())
+        or rest[3:4] not in ("", " ")
+    ):
+        raise ValueError(f"malformed status line: {lines[0]!r}")
+    headers = parse_headers(lines[1:])
+    if "transfer-encoding" in headers:
+        raise ValueError("a Transfer-Encoding response is not supported")
+    if "content-length" not in headers:
+        raise ValueError("response without Content-Length")
+    start = head_end + 4
+    end = start + int(headers["content-length"])
+    if len(buf) > end:
+        raise ValueError("bytes after the response body")
+    got = len(buf)
+    if got < end:
+        buf += bytes(end - got)
+        with memoryview(buf) as view:
+            while got < end:
+                n = sock.recv_into(view[got:end])
+                if not n:
+                    raise ConnectionError(
+                        "server closed the connection mid-response"
+                    )
+                got += n
+    return int(code), bytes(buf[start:end]), keeps_alive(version, headers)

@@ -219,26 +219,26 @@ class PartitionService:
         self._check_open()
         t0 = time.perf_counter()
         ctx = trace if trace is not None else request.trace
-        endpoint = (
-            "refine" if isinstance(request, RefineRequest) else "partition"
-        )
+        request, digest, key, held = self._lookup(request, t0, ctx)
+        if held is not None:
+            return held
+        endpoint = _endpoint(request)
         span = self.tracer.start(
             "service.submit", parent=ctx, attrs={"endpoint": endpoint}
         )
         try:
-            request, digest, key, result = self._lookup(request)
-            if result is None:
-                # the leader's job publishes (cache + warm seed) *before*
-                # the scheduler drops its in-flight entry, so a same-key
-                # request arriving at any moment finds either the flight or
-                # the cache — identical work truly runs at most once
-                result = self.scheduler.run(
-                    key,
-                    digest,
-                    lambda: self._execute_and_publish(
-                        request, digest, key, parent=span
-                    ),
-                )
+            request = self._resident(request, digest)
+            # the leader's job publishes (cache + warm seed) *before*
+            # the scheduler drops its in-flight entry, so a same-key
+            # request arriving at any moment finds either the flight or
+            # the cache — identical work truly runs at most once
+            result = self.scheduler.run(
+                key,
+                digest,
+                lambda: self._execute_and_publish(
+                    request, digest, key, parent=span
+                ),
+            )
         except BaseException as exc:
             span.fail(exc)
             span.close()
@@ -278,19 +278,13 @@ class PartitionService:
         groups: dict[tuple, list[int]] = {}
         prepared: list[Optional[tuple[Request, str, str]]] = [None] * len(requests)
         for i, request in enumerate(requests):
-            item_t0 = time.perf_counter()
-            request, digest, key, cached = self._lookup(request)
+            request, digest, key, cached = self._lookup(
+                request, time.perf_counter(), NULL_SPAN
+            )
             if cached is not None:
-                cached.latency_s = time.perf_counter() - item_t0
-                cached.request_key = key
-                self._observe_request(
-                    "refine" if isinstance(request, RefineRequest)
-                    else "partition",
-                    cached.latency_s,
-                )
                 results[i] = cached
                 continue
-            prepared[i] = (request, digest, key)
+            prepared[i] = (self._resident(request, digest), digest, key)
             if isinstance(request, RefineRequest):
                 group_id = (
                     digest,
@@ -352,36 +346,78 @@ class PartitionService:
                     results[i] = future.result()
         return results  # type: ignore[return-value]
 
-    def _lookup(
-        self, request: Request
-    ) -> tuple[Request, str, str, Optional[JobResult]]:
-        """``(request, digest, key, cached result or None)``.
+    def held_answer(self, request: Request) -> Optional[JobResult]:
+        """The answer this service already holds for ``request``, served
+        as :meth:`submit` serves a hit; ``None``, counting nothing, when
+        it holds none.
 
-        A graph-bearing request interns its graph, then looks up its
-        answer.  A digest-only request looks up its answer by digest
-        alone; only a miss resolves the digest against the graph store,
-        and a graph that is not resident raises :class:`NeedsGraph`.
-        The returned request always carries the resident graph unless
-        the answer was cached."""
+        Only leaf locks are taken (the result LRU, the registry, the
+        span ring) and no I/O is done, so the event-loop front calls
+        this on its loop thread for a digest-only request, and sends the
+        request to its worker pool, where :meth:`submit` counts the
+        miss, only when this returns ``None``.  A tracer that writes a
+        JSONL file would write it here, so with one configured this
+        returns ``None`` and :meth:`submit` serves the hit instead."""
+        self._check_open()
+        if self.tracer.jsonl_path is not None:
+            return None
+        t0 = time.perf_counter()
+        key = request_key(request, digest=request.graph_digest)
+        return self._held(request, key, t0, request.trace, count_miss=False)
+
+    def _held(
+        self, request: Request, key: str, t0: float, trace,
+        count_miss: bool = True,
+    ) -> Optional[JobResult]:
+        """Serve ``key``'s cached answer: a ``cache_hit`` copy counted
+        as one request (result-cache hit, ``repro_requests_total``,
+        latency) and spanned as ``service.submit`` under ``trace``
+        (:data:`NULL_SPAN`: not spanned); ``None`` on a miss, which
+        counts only with ``count_miss``."""
+        cached = self.store.lookup_result(key, count_miss)
+        if cached is None:
+            return None
+        endpoint = _endpoint(request)
+        cached.latency_s = time.perf_counter() - t0
+        cached.request_key = key
+        self._observe_request(endpoint, cached.latency_s)
+        span = self.tracer.emit(
+            "service.submit", parent=trace, duration_s=cached.latency_s,
+            attrs={"endpoint": endpoint, "cache_hit": True,
+                   "coalesced": False},
+        )
+        # a remote-rooted span ships back in the reply, as in submit()
+        cached.spans = span.collected() or None
+        return cached
+
+    def _lookup(
+        self, request: Request, t0: float, trace
+    ) -> tuple[Request, str, str, Optional[JobResult]]:
+        """``(request, digest, key, held answer or None)``: a
+        graph-bearing request interns its graph first, and a digest-only
+        request looks its answer up by digest alone.  A held answer is
+        served by :meth:`_held` (spanned under ``trace``)."""
         if request.graph is None:
             digest = request.graph_digest
-            key = request_key(request, digest=digest)
-            cached = self.store.lookup_result(key)
-            if cached is None:
-                graph = self.store.graphs.lookup(digest)
-                if graph is None:
-                    raise NeedsGraph(
-                        f"graph {digest} is not held here; resend the "
-                        "request with its graph"
-                    )
-                request = dataclasses.replace(
-                    request, graph=graph, graph_digest=None
-                )
-            return request, digest, key, cached
-        digest, graph = self.store.graphs.intern(request.graph)
-        request = _with_graph(request, graph)
+        else:
+            digest, graph = self.store.graphs.intern(request.graph)
+            request = _with_graph(request, graph)
         key = request_key(request, digest=digest)
-        return request, digest, key, self.store.lookup_result(key)
+        return request, digest, key, self._held(request, key, t0, trace)
+
+    def _resident(self, request: Request, digest: str) -> Request:
+        """A missed digest-only request with the resident graph it
+        names; a graph that is not resident raises
+        :class:`NeedsGraph`."""
+        if request.graph is not None:
+            return request
+        graph = self.store.graphs.lookup(digest)
+        if graph is None:
+            raise NeedsGraph(
+                f"graph {digest} is not held here; resend the request "
+                "with its graph"
+            )
+        return dataclasses.replace(request, graph=graph, graph_digest=None)
 
     # ------------------------------------------------------------------
     # sessions
@@ -838,6 +874,10 @@ class PartitionService:
             result.assignment,
             result.fitness,
         )
+
+
+def _endpoint(request: Request) -> str:
+    return "refine" if isinstance(request, RefineRequest) else "partition"
 
 
 def _with_graph(request: Request, graph: CSRGraph) -> Request:

@@ -3,10 +3,24 @@
 One :mod:`selectors` loop multiplexes every client connection of the
 partition service: the loop thread owns all connection state (parse
 buffers, pipelining windows, write queues) and never blocks on request
-execution — complete requests are handed to a small worker pool that
-runs the route table (:func:`repro.service.http.dispatch_request`) and
-posts finished responses back through a completion queue plus a wake
-socket.  :func:`repro.service.http.make_server` builds it.
+execution.  A request takes one of two paths, chosen from what it
+shows:
+
+* **held answers, on the loop thread** — a digest-only ``POST
+  /v1/partition`` whose body is at most :data:`MAX_INLINE_BODY` bytes
+  and whose answer the service already holds.  The loop hands the body
+  to :func:`repro.service.http.held_response` (the route's own module
+  parses it and asks the service's ``held_answer``, which counts the
+  hit) and queues the response bytes itself: no pool submit, no
+  completion-queue entry, no wake byte.  Any error there, like a miss,
+  sends the request to the pool, which answers it.
+* **everything else, on the worker pool** — every other request, and a
+  digest-only request whose answer is not held, runs the route table
+  (:func:`repro.service.http.dispatch_request`) on a small worker pool,
+  which posts the finished response back through a completion queue
+  plus a wake socket.  The pool's ``submit`` counts the miss.
+
+:func:`repro.service.http.make_server` builds it.
 
 Protocol surface:
 
@@ -16,18 +30,25 @@ Protocol surface:
 * **Pipelining** — up to :data:`MAX_PIPELINE_DEPTH` requests per
   connection may be in flight at once; responses are written strictly
   in request order (each request gets a per-connection sequence number,
-  out-of-order completions park in a reorder window).  Above the cap
+  and a response that overtakes an earlier request, such as a held
+  answer behind a miss, parks in a reorder window).  Above the cap
   the connection's read interest is dropped — TCP backpressure, not
   unbounded buffering.
 * **Bounded inputs** — request heads over :data:`MAX_HEADER_BYTES`
   answer ``431``, bodies over :data:`~repro.service.http.
   MAX_BODY_BYTES` answer ``413``, chunked uploads answer ``501``; all
-  three then close cleanly.  Malformed request lines answer ``400``.
+  three then close cleanly.  Malformed request lines, and a
+  Content-Length that is not ASCII digits or disagrees with another
+  Content-Length (RFC 9112 §6.3), answer ``400`` and close.
 
 Threading contract (asserted by the LockWitness stress test): the only
-lock is the completion-queue mutex, a leaf held for a deque append/pop
-only — never across a socket send, never while another lock is held.
-The wake-socket write happens *outside* it.  Everything else is
+lock of its own is the completion-queue mutex, a leaf held for a deque
+append/pop only — never across a socket send, never while another lock
+is held.  The wake-socket write happens *outside* it.  The held-answer
+path runs on the loop thread with no loop lock held and takes only the
+service's leaf locks (its answer LRU, metrics registry and span ring)
+and no I/O: a service whose tracer writes a JSONL file holds no answer
+for the loop, so its hits go to the pool.  Everything else is
 loop-thread-owned and needs no lock at all.
 """
 
@@ -40,11 +61,18 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from .http import MAX_BODY_BYTES, dispatch_request
+from .http import (
+    MAX_BODY_BYTES,
+    dispatch_request,
+    held_response,
+    keeps_alive,
+    parse_headers,
+)
 
 __all__ = [
     "EventLoopHTTPServer",
     "MAX_HEADER_BYTES",
+    "MAX_INLINE_BODY",
     "MAX_PIPELINE_DEPTH",
 ]
 
@@ -55,6 +83,11 @@ MAX_HEADER_BYTES = 64 << 10
 #: per-connection cap on pipelined in-flight requests; beyond it the
 #: connection's read interest is dropped until responses drain
 MAX_PIPELINE_DEPTH = 32
+
+#: largest request body the loop thread looks at itself: a digest-only
+#: ``POST /v1/partition`` is a few hundred bytes.  A larger body, and
+#: any request whose answer the service does not hold, goes to the pool
+MAX_INLINE_BODY = 4 << 10
 
 #: bytes pulled off a readable socket per loop iteration
 _READ_CHUNK = 256 << 10
@@ -167,6 +200,11 @@ class EventLoopHTTPServer:
         self._registry = getattr(service, "registry", None)
         self._connections_total = 0
         self._in_flight_total = 0
+        if self._registry is not None:
+            self._registry.gauge_fn(
+                "repro_http_inflight_requests",
+                lambda: [({}, float(max(self._in_flight_total, 0)))],
+            )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -301,9 +339,6 @@ class EventLoopHTTPServer:
             self._registry.set_gauge(
                 "repro_http_connections_open", len(self._conns)
             )
-            self._registry.set_gauge(
-                "repro_http_inflight_requests", self._in_flight_total
-            )
 
     # -- reading & parsing ---------------------------------------------
 
@@ -330,12 +365,13 @@ class EventLoopHTTPServer:
         self._parse(conn)
 
     def _parse(self, conn: _Connection) -> None:
-        """Dispatch every complete pipelined request in ``inbuf``."""
+        """Serve every complete pipelined request in ``inbuf``, then
+        write what is ready."""
         while not conn.closing:
             if conn.in_flight >= self.max_pipeline:
                 conn.paused = True
                 self._set_events(conn, conn.events & ~selectors.EVENT_READ)
-                return
+                break
             head_end = conn.inbuf.find(b"\r\n\r\n")
             if head_end < 0:
                 if len(conn.inbuf) > MAX_HEADER_BYTES:
@@ -343,75 +379,51 @@ class EventLoopHTTPServer:
                         conn, 431,
                         f"request head over {MAX_HEADER_BYTES} bytes",
                     )
-                return
+                break
             try:
                 method, target, accept, keep_alive, length, chunked = (
                     self._parse_head(bytes(conn.inbuf[:head_end]))
                 )
             except ValueError as exc:
                 self._reject(conn, 400, str(exc))
-                return
+                break
             if chunked:
                 self._reject(
                     conn, 501, "chunked request bodies are not supported"
                 )
-                return
+                break
             if length > MAX_BODY_BYTES:
                 self._reject(
                     conn, 413, f"request body over {MAX_BODY_BYTES} bytes"
                 )
-                return
+                break
             total = head_end + 4 + length
             if len(conn.inbuf) < total:
-                return  # body still in flight
+                break  # body still in flight
             body = bytes(conn.inbuf[head_end + 4:total])
             del conn.inbuf[:total]
             self._dispatch(conn, method, target, body, accept, keep_alive)
+        if conn.outbuf:
+            self._on_writable(conn)
 
     @staticmethod
     def _parse_head(head: bytes) -> tuple[str, str, str, bool, int, bool]:
         """``(method, target, accept, keep_alive, content_length,
         chunked)`` of one request head; :class:`ValueError` = 400."""
-        try:
-            text = head.decode("latin-1")
-        except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-            raise ValueError(f"undecodable request head: {exc}") from exc
-        lines = text.split("\r\n")
+        lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ValueError(f"malformed request line: {lines[0]!r}")
         method, target, version = parts
-        connection = ""
-        accept = ""
-        length = 0
-        chunked = False
-        for line in lines[1:]:
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"malformed header line: {line!r}")
-            name = name.strip().lower()
-            value = value.strip()
-            if name == "content-length":
-                try:
-                    length = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"bad Content-Length header: {value!r}"
-                    ) from None
-                if length < 0:
-                    raise ValueError(f"bad Content-Length header: {length}")
-            elif name == "connection":
-                connection = value.lower()
-            elif name == "transfer-encoding":
-                chunked = "chunked" in value.lower()
-            elif name == "accept":
-                accept = value
-        keep_alive = (
-            connection != "close"
-            if version == "HTTP/1.1"
-            else connection == "keep-alive"
+        headers = parse_headers(lines[1:])
+        return (
+            method,
+            target,
+            headers.get("accept", ""),
+            keeps_alive(version, headers),
+            int(headers.get("content-length", "0")),
+            "chunked" in headers.get("transfer-encoding", "").lower(),
         )
-        return method, target, accept, keep_alive, length, chunked
 
     def _reject(self, conn: _Connection, status: int, message: str) -> None:
         """Protocol-level failure: answer in sequence, then close."""
@@ -421,7 +433,7 @@ class EventLoopHTTPServer:
         self._in_flight_total += 1
         conn.closing = True  # stop parsing; drain and die
         self._set_events(conn, conn.events & ~selectors.EVENT_READ)
-        self._finish(conn, seq, _error_bytes(status, message), True)
+        self._queue(conn, seq, _error_bytes(status, message), True)
 
     def _dispatch(
         self,
@@ -446,9 +458,17 @@ class EventLoopHTTPServer:
                 conn.in_flight,
                 buckets=_DEPTH_BUCKETS,
             )
-            self._registry.set_gauge(
-                "repro_http_inflight_requests", self._in_flight_total
+        held = (
+            held_response(self.service, method, target, body)
+            if len(body) <= MAX_INLINE_BODY
+            else None
+        )
+        if held is not None:
+            self._queue(
+                conn, seq, _response_bytes(*held, not keep_alive),
+                not keep_alive,
             )
+            return
         self._pool.submit(
             self._run, conn, seq, method, target, body, accept,
             not keep_alive,
@@ -504,15 +524,7 @@ class EventLoopHTTPServer:
                 conn, seq, response, close_after = self._completions.popleft()
             if conn.sock.fileno() < 0:
                 continue  # connection died while the request ran
-            conn.ready[seq] = (response, close_after)
-            while conn.next_send in conn.ready:
-                resp, close = conn.ready.pop(conn.next_send)
-                conn.next_send += 1
-                conn.in_flight -= 1
-                self._in_flight_total -= 1
-                conn.outbuf.append(resp)
-                if close:
-                    conn.closing = True
+            self._queue(conn, seq, response, close_after)
             if conn.outbuf:
                 self._on_writable(conn)
             if (
@@ -524,11 +536,21 @@ class EventLoopHTTPServer:
                 conn.paused = False
                 self._set_events(conn, conn.events | selectors.EVENT_READ)
                 self._parse(conn)  # buffered pipelined requests, if any
-            if self._registry is not None:
-                self._registry.set_gauge(
-                    "repro_http_inflight_requests",
-                    max(self._in_flight_total, 0),
-                )
+
+    def _queue(
+        self, conn: _Connection, seq: int, response: bytes, close_after: bool
+    ) -> None:
+        """Slot one response into ``conn``'s send queue in request order;
+        one that overtook an earlier request parks in ``ready``."""
+        conn.ready[seq] = (response, close_after)
+        while conn.next_send in conn.ready:
+            resp, close = conn.ready.pop(conn.next_send)
+            conn.next_send += 1
+            conn.in_flight -= 1
+            self._in_flight_total -= 1
+            conn.outbuf.append(resp)
+            if close:
+                conn.closing = True
 
     def _on_writable(self, conn: _Connection) -> None:
         try:

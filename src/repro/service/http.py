@@ -5,7 +5,10 @@ A thin JSON layer over :class:`~repro.service.core.PartitionService`.
 feeds it is :class:`~repro.service.eventloop.EventLoopHTTPServer`, a
 single-threaded :mod:`selectors` loop multiplexing thousands of
 keep-alive connections with pipelined in-flight requests (see
-:mod:`repro.service.eventloop`).  The endpoint schema:
+:mod:`repro.service.eventloop`).  :func:`held_response` is the one
+route the front serves on its loop thread: the same ``/v1/partition``
+response, for a digest-only request whose answer is already held.  The
+endpoint schema:
 
 ====================  ======  =========================================
 path                  method  body / response
@@ -79,13 +82,57 @@ from .models import (
 
 __all__ = [
     "dispatch_request",
+    "held_response",
+    "keeps_alive",
     "make_server",
+    "parse_headers",
     "serve",
 ]
 
 #: request-body ceiling — paper-scale graphs are ~KBs; 64 MiB leaves
 #: ample slack for large meshes while bounding a hostile payload
 MAX_BODY_BYTES = 64 << 20
+
+
+def parse_headers(lines: Sequence[str]) -> dict[str, str]:
+    """The header lines of one HTTP/1.1 head → ``{lowercased name:
+    value}``, the front's request heads and the client's response heads
+    alike.  A repeated field's values join with ``", "``, except
+    Content-Length, which must be ASCII digits only with every copy
+    agreeing (RFC 9112 §6.3).  :class:`ValueError` on a bad
+    Content-Length or a line without a colon."""
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"malformed header line: {line!r}")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length":
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"bad Content-Length header: {value!r}")
+            if int(headers.get(name, value)) != int(value):
+                raise ValueError(
+                    f"conflicting Content-Length headers: "
+                    f"{headers[name]!r} and {value!r}"
+                )
+        elif name in headers:
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
+    return headers
+
+
+def keeps_alive(version: str, headers: dict[str, str]) -> bool:
+    """Whether a message leaves its connection open: on HTTP/1.1 unless
+    its Connection header lists ``close``, on HTTP/1.0 only when it
+    lists ``keep-alive``."""
+    tokens = {
+        token.strip()
+        for token in headers.get("connection", "").lower().split(",")
+    }
+    if version == "HTTP/1.1":
+        return "close" not in tokens
+    return "keep-alive" in tokens
 
 
 def _json_response(status: int, payload: dict) -> tuple[int, str, bytes]:
@@ -100,6 +147,39 @@ def _parse_json_body(raw: bytes) -> dict:
     if not isinstance(payload, dict):
         raise _HTTPError(400, "request body must be a JSON object")
     return payload
+
+
+def held_response(
+    service, method: str, target: str, body: bytes
+) -> Optional[tuple[int, str, bytes]]:
+    """:func:`dispatch_request`'s response to a digest-only ``POST
+    /v1/partition`` whose answer ``service`` already holds, served by
+    the service's ``held_answer`` (which counts the hit); ``None`` for
+    any other request, for a miss and for any error, all of which
+    :func:`dispatch_request` then answers.  It takes only the service's
+    leaf locks, so the event-loop front calls it on its loop thread."""
+    held_answer = getattr(service, "held_answer", None)
+    if (
+        held_answer is None
+        or method != "POST"
+        or target != "/v1/partition"
+        or b'"graph_digest"' not in body
+    ):
+        return None
+    try:
+        payload = _parse_json_body(body)
+        if "graph" in payload:
+            return None
+        result = held_answer(PartitionRequest.from_payload(payload))
+        if result is None:
+            return None
+        return _json_response(200, result.to_payload())
+    # repro: allow[BROAD-EXCEPT] — not an answer, a hand-off: the caller
+    # sends the request to dispatch_request, which parses it again and
+    # maps the same error to its response (a raise here would end the
+    # event loop's thread and with it every connection)
+    except Exception:
+        return None
 
 
 def dispatch_request(

@@ -29,8 +29,10 @@ the size of each shard's result half) keyed by the shards' own
 :func:`~repro.service.cache.request_key`.  ``submit`` and
 ``submit_many`` look a request up there before routing it: a hit is a
 ``cache_hit`` copy marked with the ring owner's index and touches no
-transport, and every shard reply is stored.  The front counts each hit
-once for the fleet (``repro_cache_hits_total``,
+transport, and every shard reply is stored.  ``held_answer`` serves
+the same hit, counting nothing on a miss; the event-loop HTTP front
+calls it on its loop thread for digest-only requests.  The front
+counts each hit once for the fleet (``repro_cache_hits_total``,
 ``repro_requests_total``, ``repro_request_latency_ms``) and registers
 its LRU's size and evictions under ``cache="results"``, so the merged
 snapshot and the ``stats()`` view of it cover every result cache;
@@ -173,7 +175,7 @@ from ..obs.metrics import (
     merge_snapshots,
     stats_view,
 )
-from ..obs.trace import Tracer
+from ..obs.trace import NULL_SPAN, Tracer
 from .cache import ResultCache, graph_digest, request_key
 from .config import ServiceConfig
 from .models import (
@@ -1346,25 +1348,55 @@ class ShardedPartitionService:
                     best = (result.fitness, shard)
                 _remember(self._best_seed, seed_key, best)
 
-    def _front_hit(
-        self, request, digest: str, t0: float
-    ) -> tuple[str, Optional[JobResult]]:
-        """``(cache key, answer held by the front or None)``.  A hit is
-        counted as a request here, since no shard sees it."""
+    def held_answer(self, request) -> Optional[JobResult]:
+        """The answer the front holds for ``request``, served as
+        :meth:`submit` serves a front hit; ``None``, counting nothing,
+        when it holds none.
+
+        Only leaf locks are taken (the answer LRU, the registry, the
+        span ring) and no I/O is done, so the event-loop front calls
+        this on its loop thread for a digest-only request, and sends the
+        request to its worker pool, where :meth:`submit` places the
+        miss, only when this returns ``None``.  A tracer that writes a
+        JSONL file would write it here, so with one configured this
+        returns ``None`` and :meth:`submit` serves the hit instead."""
+        self._check_open()
+        if self.tracer.jsonl_path is not None:
+            return None
+        t0 = time.perf_counter()
+        owner, digest = self._route(request)
         key = request_key(request, digest=digest)
-        cached = self._answers.lookup(key)
-        if cached is not None:
-            endpoint = (
-                "refine" if isinstance(request, RefineRequest)
-                else "partition"
-            )
-            cached.latency_s = time.perf_counter() - t0
-            self.registry.inc("repro_requests_total", endpoint=endpoint)
-            self.registry.observe(
-                "repro_request_latency_ms", cached.latency_s * 1e3,
-                endpoint=endpoint,
-            )
-        return key, cached
+        return self._held(
+            request, owner, key, t0, request.trace, count_miss=False
+        )
+
+    def _held(
+        self, request, owner: int, key: str, t0: float, trace,
+        count_miss: bool = True,
+    ) -> Optional[JobResult]:
+        """Serve ``key``'s answer from the front LRU: a ``cache_hit``
+        copy marked with the ring owner, counted as a request here,
+        since no shard sees it, and spanned as ``front.submit`` under
+        ``trace`` (:data:`NULL_SPAN`: not spanned); ``None`` on a
+        miss."""
+        cached = self._answers.lookup(key, count_miss)
+        if cached is None:
+            return None
+        endpoint = (
+            "refine" if isinstance(request, RefineRequest) else "partition"
+        )
+        cached.latency_s = time.perf_counter() - t0
+        self.registry.inc("repro_requests_total", endpoint=endpoint)
+        self.registry.observe(
+            "repro_request_latency_ms", cached.latency_s * 1e3,
+            endpoint=endpoint,
+        )
+        self.tracer.emit(
+            "front.submit", parent=trace, duration_s=cached.latency_s,
+            attrs={"endpoint": "partition", "shard": owner, "owner": owner,
+                   "cache_hit": True},
+        )
+        return self._mark(cached, owner)
 
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
@@ -1374,30 +1406,31 @@ class ShardedPartitionService:
         self._check_open()
         t0 = time.perf_counter()
         owner, digest = self._route(request)
+        key = request_key(request, digest=digest)
+        held = self._held(request, owner, key, t0, request.trace)
+        if held is not None:
+            return held
         span = self.tracer.start(
             "front.submit", parent=request.trace,
             attrs={"endpoint": "partition", "shard": owner, "owner": owner},
         )
         with span:
-            key, result = self._front_hit(request, digest, t0)
-            shard = owner
-            if result is None:
-                seed_key = (
-                    (digest, request.n_parts, request.fitness_kind)
-                    if getattr(request, "warm_start", False) else None
-                )
-                shard = self._claim(owner, digest, key, seed_key)
-                self.registry.inc(
-                    "repro_placements_total",
-                    placement="owner" if shard == owner else "spill",
-                )
-                span.set(shard=shard)
-                try:
-                    result = self._traced_call(span, shard, "submit", request)
-                    self._answers.store(key, result)
-                    self._note_answer(request, digest, key, shard, result)
-                finally:
-                    self._release(shard, key)
+            seed_key = (
+                (digest, request.n_parts, request.fitness_kind)
+                if getattr(request, "warm_start", False) else None
+            )
+            shard = self._claim(owner, digest, key, seed_key)
+            self.registry.inc(
+                "repro_placements_total",
+                placement="owner" if shard == owner else "spill",
+            )
+            span.set(shard=shard)
+            try:
+                result = self._traced_call(span, shard, "submit", request)
+                self._answers.store(key, result)
+                self._note_answer(request, digest, key, shard, result)
+            finally:
+                self._release(shard, key)
             span.set(cache_hit=result.cache_hit)
         return self._mark(result, shard)
 
@@ -1413,12 +1446,10 @@ class ShardedPartitionService:
         by_shard: dict[int, list[int]] = {}
         for i, request in enumerate(requests):
             t0 = time.perf_counter()
-            shard, digest = self._route(request)
-            digests[i] = digest
-            keys[i], cached = self._front_hit(request, digest, t0)
-            if cached is not None:
-                results[i] = self._mark(cached, shard)
-            else:
+            shard, digests[i] = self._route(request)
+            keys[i] = request_key(request, digest=digests[i])
+            results[i] = self._held(request, shard, keys[i], t0, NULL_SPAN)
+            if results[i] is None:
                 by_shard.setdefault(shard, []).append(i)
 
         span = self.tracer.start(

@@ -199,6 +199,57 @@ class TestMetricsRegistry:
         assert hist["count"] == 1 and hist["sum"] == 3.0
         assert len(hist["counts"]) == len(hist["le"]) + 1  # +Inf bucket
 
+    def test_snapshot_order_and_content_with_mixed_label_sets(self):
+        """Series are keyed by name and sorted label pairs, yet a
+        snapshot still lists them by name, then by the labels' sorted
+        JSON form (which puts ``{}`` after any labelled series), and a
+        provider still replaces a live series of the same labels."""
+        reg = MetricsRegistry()
+        reg.inc("c_total")
+        reg.inc("c_total", 2, b="1", a="2")
+        reg.inc("c_total", a="2", b="1")
+        reg.inc("c_total", 5, a="10")
+        reg.inc("b_total", endpoint="partition")
+        reg.inc("b_total", endpoint="partition")
+        reg.inc("b_total", shard="0")
+        reg.set_gauge("g", 1.0)
+        reg.set_gauge("g", 2.0, shard="1")
+        reg.set_gauge("g", 3.0, shard="0")
+        reg.set_gauge("g", 4.0, shard="0")
+        reg.gauge_fn("g", lambda: [({"shard": "1"}, 9), ({"z": "x"}, 8)])
+        reg.observe("h", 0.5, buckets=(1.0,))
+        reg.observe("h", 2.0, buckets=(1.0,), endpoint="refine")
+        reg.observe("h", 0.5, buckets=(1.0,), endpoint="partition")
+        snap = reg.snapshot()
+        assert snap == {
+            "schema": "repro.obs/v1",
+            "counters": [
+                {"name": "b_total", "labels": {"endpoint": "partition"},
+                 "value": 2.0},
+                {"name": "b_total", "labels": {"shard": "0"}, "value": 1.0},
+                {"name": "c_total", "labels": {"a": "10"}, "value": 5.0},
+                {"name": "c_total", "labels": {"b": "1", "a": "2"},
+                 "value": 3.0},
+                {"name": "c_total", "labels": {}, "value": 1.0},
+            ],
+            "gauges": [
+                {"name": "g", "labels": {"shard": "0"}, "value": 4.0},
+                {"name": "g", "labels": {"shard": "1"}, "value": 9.0},
+                {"name": "g", "labels": {"z": "x"}, "value": 8.0},
+                {"name": "g", "labels": {}, "value": 1.0},
+            ],
+            "histograms": [
+                {"name": "h", "labels": {"endpoint": "partition"},
+                 "le": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1},
+                {"name": "h", "labels": {"endpoint": "refine"},
+                 "le": [1.0], "counts": [0, 1], "sum": 2.0, "count": 1},
+                {"name": "h", "labels": {}, "le": [1.0], "counts": [1, 0],
+                 "sum": 0.5, "count": 1},
+            ],
+        }
+        assert [list(row["labels"]) for row in snap["counters"]][3] == [
+            "b", "a"]  # a series keeps the labels it was first given
+
     def test_merge_and_percentiles(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         for reg, n in ((a, 3), (b, 5)):
