@@ -2,17 +2,17 @@
 """ParallelDPGA pool fan-out overhead: pinned executor bank vs one
 shared pool with explicit state shipping.
 
-The pinned mode buys island-state affinity with one single-process
+The pinned bank buys island-state affinity with one single-process
 ``ProcessPoolExecutor`` per worker slot; every slot is an OS process
 plus a management thread and pipe pair, so bank construction/teardown
-grows linearly with the slot count.  The shared mode pays one pool
+grows linearly with the slot count.  The shared pool pays one pool
 startup regardless of width but ships each island's engine state
-(~KBs) with every epoch task.  This benchmark measures both modes
-end-to-end (constructor + run + teardown, plus steady-state epoch cost
-separately) across worker counts, verifies their results are
-bit-identical, and records the numbers that set
-``repro.ga.parallel.SHARED_POOL_CUTOFF`` — the ``pool_mode="auto"``
-switch point.
+(~KBs) with every epoch task.  This benchmark measures both paths
+end-to-end (constructor + run + teardown) across worker counts,
+verifies their results are bit-identical, and records the numbers that
+set ``repro.ga.parallel.SHARED_POOL_CUTOFF`` — the width above which
+the runner takes the shared pool.  Each path is forced at every width
+by moving that cutoff.
 
 Usage::
 
@@ -20,7 +20,7 @@ Usage::
         [--workers 4 16 24] [--islands 24] [--out FANOUT_metrics.json]
 
 Informational (prints a table, writes JSON); the only hard gate is
-bit-identity between the modes.
+bit-identity between the two paths.
 """
 
 from __future__ import annotations
@@ -33,10 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.ga.parallel as parallel
 from repro.ga.config import GAConfig
 from repro.ga.dpga import DPGAConfig
 from repro.ga.parallel import ParallelDPGA
 from repro.graphs import mesh_graph
+
+#: the ``SHARED_POOL_CUTOFF`` that forces each path at any width
+FORCING_CUTOFF = {"pinned": sys.maxsize, "shared": 0}
 
 
 def run_mode(graph, mode: str, n_workers: int, n_islands: int, epochs: int):
@@ -55,11 +59,15 @@ def run_mode(graph, mode: str, n_workers: int, n_islands: int, epochs: int):
         ga_config=GAConfig(population_size=4, hill_climb="off"),
         n_workers=n_workers,
         seed=0,
-        pool_mode=mode,
     )
-    t0 = time.perf_counter()
-    result = dpga.run()
-    return time.perf_counter() - t0, result.best.assignment
+    saved = parallel.SHARED_POOL_CUTOFF
+    parallel.SHARED_POOL_CUTOFF = FORCING_CUTOFF[mode]
+    try:
+        t0 = time.perf_counter()
+        result = dpga.run()
+        return time.perf_counter() - t0, result.best.assignment
+    finally:
+        parallel.SHARED_POOL_CUTOFF = saved
 
 
 def main(argv=None) -> int:
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     if not identical:
-        print("FAIL: pinned and shared modes disagree", file=sys.stderr)
+        print("FAIL: pinned and shared pools disagree", file=sys.stderr)
         return 1
     return 0
 

@@ -10,7 +10,7 @@ recursive bisection with KL at every level.
 
 Both entry points accept an optional ``deadline`` (a
 ``time.perf_counter()`` timestamp): the refinement loop checks it per
-sweep and per candidate pair, so a binding time budget — the racing
+sweep and per candidate pair, so a binding time budget — the
 portfolio's, for instance — cancels the run mid-flight while still
 returning a *valid* partition (refinement simply stops early).  A
 deadline that never binds changes nothing: results are bit-identical

@@ -12,7 +12,7 @@ same proportion.
 ``time.perf_counter()`` timestamp), checked before each bisection's
 eigensolve — the expensive unit of RSB work.  A binding deadline makes
 the remaining levels fall back to cheap deterministic index splits, so
-a time-budgeted caller (the racing portfolio) can cancel RSB mid-run
+a time-budgeted caller (the portfolio) can cancel RSB mid-run
 and still receive a valid ``k``-way partition; a non-binding deadline
 leaves results bit-identical.
 """

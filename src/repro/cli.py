@@ -98,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
              "processes, the way to use N cores (0 = single process)",
     )
     p_serve.add_argument(
-        "--racing-portfolio", action="store_true",
-        help="race portfolio legs concurrently, cancelling losers",
-    )
-    p_serve.add_argument(
         "--shard-listen", metavar="HOST:PORT", default=None,
         help="run a standalone shard worker serving the shard RPC on "
              "this address instead of an HTTP endpoint (fronts attach "
@@ -119,15 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
              "a private temporary store for local shards)",
     )
     p_serve.add_argument(
-        "--snapshot-interval", type=float, default=0.0,
-        help="seconds between periodic session snapshot passes on top "
-             "of the on-commit writes (0 = on-commit only)",
-    )
-    p_serve.add_argument(
         "--probe-interval", type=float, default=0.0,
         help="seconds between front-driven shard health probes; a dead "
              "remote shard is ejected from the hash ring and re-admitted "
-             "when it answers again (0 = no probing; sharded fronts only)",
+             "when it answers again (0 = no probing; needs --shards or "
+             "--attach-shard)",
     )
     p_serve.add_argument(
         "--trace", action="store_true",
@@ -344,19 +336,16 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
     kwargs = dict(
         n_workers=args.workers,
         cache_bytes=args.cache_mb << 20,
-        racing_portfolio=args.racing_portfolio,
-        snapshot_interval_s=args.snapshot_interval,
         **front_kwargs,
     )
     if args.snapshot_dir is not None:
         kwargs["snapshot_dir"] = args.snapshot_dir
-    elif args.snapshot_interval > 0 and not args.shards:
-        # a sharded front provisions per-shard stores itself; every
-        # other serve role persists only into an explicit directory —
-        # an interval with nowhere to write would be a silent no-op
+    if args.probe_interval > 0 and not (args.shards or args.attach_shard):
+        # only a sharded front probes its shards; a single process or a
+        # shard worker would accept the interval and never probe
         print(
-            "error: --snapshot-interval needs --snapshot-dir "
-            "(only --shards N provisions a snapshot store on its own)",
+            "error: --probe-interval probes the shards of a sharded "
+            "front; pass it with --shards N or --attach-shard",
             file=sys.stderr,
         )
         return 1
@@ -409,10 +398,7 @@ def _run_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking
     if args.attach_shard:
         # service knobs configure workers, and attached workers are
         # configured where they run — reject instead of ignoring
-        if (
-            args.workers != 2 or args.cache_mb != 64
-            or args.racing_portfolio or args.snapshot_interval > 0
-        ):
+        if args.workers != 2 or args.cache_mb != 64:
             print(
                 "error: service options (--workers, --cache-mb, ...) "
                 "configure shard workers; pass them to each "

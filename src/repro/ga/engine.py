@@ -62,7 +62,7 @@ class GAResult:
     best_fitness: float
     history: GAHistory
     generations: int
-    stopped_by: str  # "max_generations" | "patience" | "target_fitness" | "deadline" | "aborted"
+    stopped_by: str  # "max_generations" | "patience" | "target_fitness" | "deadline"
 
     @property
     def best_cut(self) -> float:
@@ -262,7 +262,6 @@ class GAEngine:
         self,
         initial_population: Optional[np.ndarray] = None,
         deadline: Optional[float] = None,
-        abort: Optional[Callable[[float], bool]] = None,
         on_generation: Optional[Callable[..., None]] = None,
     ) -> GAResult:
         """Run to completion and return the best partition found.
@@ -276,16 +275,8 @@ class GAEngine:
         ``deadline`` (a ``time.perf_counter()`` timestamp) stops the
         loop between generations once the clock passes it
         (``stopped_by="deadline"``) — used by time-budgeted serving
-        (the portfolio racer); completed generations are unaffected, so
-        a non-binding deadline changes nothing.
-
-        ``abort`` is a best-so-far callback checked between generations
-        (after the deadline check): it receives the best fitness found
-        so far and returning True stops the run with
-        ``stopped_by="aborted"``.  The racing portfolio uses it to
-        cancel a leg that can no longer beat the incumbent under the
-        remaining budget; a callback that always returns False changes
-        nothing.
+        (the portfolio's DKNUX leg); completed generations are
+        unaffected, so a non-binding deadline changes nothing.
 
         ``on_generation`` is a progress callback invoked after every
         recorded generation (the initial evaluation counts as
@@ -314,9 +305,6 @@ class GAEngine:
         for _ in range(cfg.max_generations):
             if deadline is not None and time.perf_counter() >= deadline:
                 stopped_by = "deadline"
-                break
-            if abort is not None and abort(float(best_fitness)):
-                stopped_by = "aborted"
                 break
             population, fitness_values, evals = self.step(
                 population, fitness_values

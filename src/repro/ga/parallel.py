@@ -14,16 +14,16 @@ Worker processes build their engine once (per island) from a compact
 spec and keep it cached, so per-epoch IPC is just the population matrix.
 Because an engine carries state that evolves across epochs — its RNG
 stream, DKNUX's dynamic estimate, the evaluator's best-ever tracker —
-the runner offers two ways to keep that state consistent, selected by
-``pool_mode``:
+the runner has two ways to keep that state consistent, chosen by the
+pool's width:
 
-* ``"pinned"`` — every island is pinned to one single-process executor
+* **pinned** — every island is pinned to one single-process executor
   for the whole run (island ``i`` always runs on pool ``i %
   n_workers``), so its engine state simply lives where the island
   runs.  An unpinned shared pool *without* state shipping would
   rebuild an island's engine from scratch whenever scheduling moved it,
   making same-seed results depend on n_workers and on OS scheduling.
-* ``"shared"`` — one :class:`~concurrent.futures.ProcessPoolExecutor`
+* **shared** — one :class:`~concurrent.futures.ProcessPoolExecutor`
   of ``n_workers`` processes, with the evolving engine state
   **explicitly shipped** with every epoch task (RNG bit-generator
   state, DKNUX estimate + its fitness, best-ever individual) and
@@ -31,19 +31,18 @@ the runner offers two ways to keep that state consistent, selected by
   results are bit-identical to pinned mode — the state round-trips
   exactly — at the cost of a few extra KB of IPC per island-epoch.
 
-``pool_mode="auto"`` (the default) picks pinned up to
-:data:`SHARED_POOL_CUTOFF` worker slots and shared beyond.  Measured
-(``benchmarks/bench_parallel_fanout.py``, 24 islands × 2 epochs on a
-60-node mesh): each pinned slot is a whole ``ProcessPoolExecutor`` —
-one OS process plus a management thread and pipe pair — so bank
-construction and teardown grow linearly with the slot count and come
-to dominate: end-to-end the shared pool matches pinned at 4 workers
-(1.0x), and is 1.5x faster at 16 and 2.0x faster at 24.  Pinned keeps
-the edge for long runs at small-to-moderate widths, where its setup
-amortizes and per-island evaluator-memo affinity pays every epoch —
-hence the cutoff at 16.  Same-seed search results are identical for
-any ``n_workers`` in *both* modes, so the cutoff is pure performance
-policy.
+The runner takes pinned up to :data:`SHARED_POOL_CUTOFF` worker slots
+and shared beyond.  Measured (``benchmarks/bench_parallel_fanout.py``,
+24 islands × 2 epochs on a 60-node mesh): each pinned slot is a whole
+``ProcessPoolExecutor`` — one OS process plus a management thread and
+pipe pair — so bank construction and teardown grow linearly with the
+slot count and come to dominate: end-to-end the shared pool matches
+pinned at 4 workers (1.0x), and is 1.5x faster at 16 and 2.0x faster
+at 24.  Pinned keeps the edge for long runs at small-to-moderate
+widths, where its setup amortizes and per-island evaluator-memo
+affinity pays every epoch — hence the cutoff at 16.  Same-seed search
+results are identical for any ``n_workers`` on *both* paths, so the
+cutoff is pure performance policy.
 """
 
 from __future__ import annotations
@@ -75,17 +74,13 @@ __all__ = [
     "ParallelDPGA",
     "PinnedExecutors",
     "CROSSOVER_KINDS",
-    "POOL_MODES",
     "SHARED_POOL_CUTOFF",
 ]
 
 #: crossover kinds the parallel runner can reconstruct in workers
 CROSSOVER_KINDS = ("2-point", "uniform", "knux", "dknux")
 
-#: pool execution strategies (see the module docstring)
-POOL_MODES = ("auto", "pinned", "shared")
-
-#: ``pool_mode="auto"`` switches from per-island pinned executors to
+#: the runner switches from per-island pinned executors to
 #: one shared pool with explicit state shipping above this many worker
 #: slots — the executor-bank setup/teardown cost grows linearly with
 #: the slot count while the shared pool's is flat (measured in
@@ -361,18 +356,16 @@ class ParallelDPGA:
 
     Parameters mirror :class:`repro.ga.dpga.DPGA` except the crossover
     operator is named by ``crossover_kind`` (one of
-    :data:`CROSSOVER_KINDS`) so it can be rebuilt inside workers, and
-    ``pool_mode`` selects the execution strategy (one of
-    :data:`POOL_MODES`).
+    :data:`CROSSOVER_KINDS`) so it can be rebuilt inside workers.
 
     Same-seed runs produce identical search results (populations,
-    fitness values, best partition) for any ``n_workers`` and either
-    pool mode: pinned islands keep their engine state in place, shared
-    pools ship it explicitly.  Only the *evaluation counters* may
-    differ between modes — an island hopping processes in shared mode
-    starts with a cold evaluator memo, so it re-pays evaluations the
-    pinned memo would have cached (values are unaffected by
-    construction).
+    fitness values, best partition) for any ``n_workers`` on either
+    pool: pinned islands keep their engine state in place, the shared
+    pool ships it explicitly.  Only the *evaluation counters* may
+    differ between the two — an island hopping processes in the
+    shared pool starts with a cold evaluator memo, so it re-pays
+    evaluations the pinned memo would have cached (values are
+    unaffected by construction).
     """
 
     def __init__(
@@ -388,7 +381,6 @@ class ParallelDPGA:
         topology: Optional[Topology] = None,
         n_workers: int = 4,
         seed: SeedLike = None,
-        pool_mode: str = "auto",
     ) -> None:
         if crossover_kind not in CROSSOVER_KINDS:
             raise ConfigError(
@@ -397,11 +389,6 @@ class ParallelDPGA:
             )
         if n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if pool_mode not in POOL_MODES:
-            raise ConfigError(
-                f"pool_mode must be one of {POOL_MODES}, got {pool_mode!r}"
-            )
-        self.pool_mode = pool_mode
         self.graph = graph
         self.n_parts = int(n_parts)
         self.fitness = make_fitness(fitness_kind, graph, n_parts, alpha)
@@ -492,9 +479,7 @@ class ParallelDPGA:
         # every epoch task and restored wherever the island lands.
         # Either way same-seed results cannot depend on scheduling.
         n_pools = min(self.n_workers, n_isl)
-        mode = self.pool_mode
-        if mode == "auto":
-            mode = "pinned" if n_pools <= SHARED_POOL_CUTOFF else "shared"
+        mode = "pinned" if n_pools <= SHARED_POOL_CUTOFF else "shared"
         pools: Optional[PinnedExecutors] = None
         shared: Optional[ProcessPoolExecutor] = None
         received: list[Optional[tuple[np.ndarray, np.ndarray]]] = [

@@ -5,7 +5,7 @@ one frozen, picklable object that a :class:`~repro.service.core.
 PartitionService` is built from, that ``serve --shards N`` ships to
 every shard worker process, and that benchmarks record alongside their
 numbers.  Everything that changes *how* the service executes — worker
-counts, cache budgets, racing portfolios, persistence, tracing — lives
+counts, cache budgets, persistence, tracing, health probes — lives
 here; everything that changes *what* a request answers lives in the
 request itself.  The shard wire encoding is not a knob: each transport
 lane has exactly one codec (see :mod:`repro.service.transport`).  Nor
@@ -41,12 +41,6 @@ class ServiceConfig:
         half interned graphs).
     max_sessions:
         Open incremental-session limit.
-    racing_portfolio:
-        Run portfolio legs concurrently, cancelling the GA leg once it
-        can no longer beat the incumbent under the remaining budget
-        (see :mod:`repro.service.portfolio`).  The reported winner is
-        identical to the serial portfolio whenever the time budget does
-        not bind.
     snapshot_dir:
         Directory for session failover snapshots (see
         :mod:`repro.service.persistence`).  When set, the service
@@ -57,10 +51,6 @@ class ServiceConfig:
         persistence for a bare :class:`PartitionService`; the sharded
         front always provisions per-shard directories (a private
         temporary one unless this is set).
-    snapshot_interval_s:
-        ``> 0`` adds a periodic snapshot pass at this cadence on top of
-        the on-commit writes (sessions mid-update are skipped — only
-        committed, quiescent state ever reaches the store).
     trace_enabled:
         Originate request trace spans (:mod:`repro.obs.trace`).
         Observability settings never change answers — requests carrying
@@ -68,8 +58,6 @@ class ServiceConfig:
     trace_sample:
         Fraction of *originated* traces recorded (deterministic,
         hash-of-trace-id based; ``1.0`` traces everything).
-    trace_ring:
-        Size of the in-memory span ring buffer.
     trace_jsonl:
         Optional path appended with one JSON span record per line.
     probe_interval_s:
@@ -88,12 +76,9 @@ class ServiceConfig:
     n_workers: int = 2
     cache_bytes: int = 64 << 20
     max_sessions: int = 1024
-    racing_portfolio: bool = False
     snapshot_dir: Optional[str] = None
-    snapshot_interval_s: float = 0.0
     trace_enabled: bool = False
     trace_sample: float = 1.0
-    trace_ring: int = 2048
     trace_jsonl: Optional[str] = None
     probe_interval_s: float = 0.0
 
@@ -108,18 +93,9 @@ class ServiceConfig:
             raise ServiceError(
                 f"max_sessions must be >= 1, got {self.max_sessions}"
             )
-        if self.snapshot_interval_s < 0:
-            raise ServiceError(
-                f"snapshot_interval_s must be >= 0, got "
-                f"{self.snapshot_interval_s}"
-            )
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ServiceError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
-            )
-        if self.trace_ring < 1:
-            raise ServiceError(
-                f"trace_ring must be >= 1, got {self.trace_ring}"
             )
         if self.probe_interval_s < 0:
             raise ServiceError(
@@ -145,8 +121,7 @@ class ServiceConfig:
 #: the ServiceConfig fields that only affect the front's observability
 #: and supervision, never a shard's execution (attach mode allows them)
 OBSERVABILITY_FIELDS = (
-    "trace_enabled", "trace_sample", "trace_ring", "trace_jsonl",
-    "probe_interval_s",
+    "trace_enabled", "trace_sample", "trace_jsonl", "probe_interval_s",
 )
 
 _DEFAULTS = ServiceConfig()

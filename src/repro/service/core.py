@@ -113,7 +113,6 @@ class PartitionService:
         # flow into results, seeds, or routing.
         self.tracer = Tracer(
             enabled=config.trace_enabled,
-            ring_size=config.trace_ring,
             jsonl_path=config.trace_jsonl,
             sample_rate=config.trace_sample,
         )
@@ -133,9 +132,7 @@ class PartitionService:
             )
 
             self.persistence = SessionPersistence(
-                SnapshotStore(config.snapshot_dir),
-                self.sessions,
-                interval_s=config.snapshot_interval_s,
+                SnapshotStore(config.snapshot_dir), self.sessions
             )
             self.persistence.restore_all()
             # result write-behind (PR 10): replay the journal into the
@@ -562,20 +559,18 @@ class PartitionService:
         """Flush durable state so another shard can adopt from this
         shard's store directory, and drain the result write-behind.
 
-        With no ``session_ids`` this snapshots every *quiescent* open
-        session (a fleet-wide flush before a remap).  With specific ids
-        it **drains** those sessions instead — waiting out their
-        in-flight update so the stored epoch is the latest committed one
-        (see :meth:`~repro.service.persistence.SessionPersistence.
-        snapshot_sessions`); the front only asks this after it has
-        stopped routing new updates to them.  Returns the open session
-        ids and the store directory (``None`` without persistence)."""
+        With specific ``session_ids`` it **drains** those sessions —
+        waiting out their in-flight update so the stored epoch is the
+        latest committed one (see :meth:`~repro.service.persistence.
+        SessionPersistence.snapshot_sessions`); the front only asks this
+        after it has stopped routing new updates to them.  With none it
+        only flushes the result journal (a fleet-wide flush before a
+        remap): every session that moves is drained on its own.
+        Returns the open session ids and the store directory (``None``
+        without persistence)."""
         self._check_open()
-        if self.persistence is not None:
-            if session_ids:
-                self.persistence.snapshot_sessions(list(session_ids))
-            else:
-                self.persistence.snapshot_open_sessions()
+        if self.persistence is not None and session_ids:
+            self.persistence.snapshot_sessions(list(session_ids))
         if self.write_behind is not None:
             self.write_behind.flush()
         return {
@@ -708,8 +703,6 @@ class PartitionService:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            if self.persistence is not None:
-                self.persistence.close()
             if self.write_behind is not None:
                 self.write_behind.close()
             self.scheduler.shutdown()
@@ -796,7 +789,6 @@ class PartitionService:
                 seed=request.seed,
                 time_budget=request.time_budget,
                 ga=request.ga,
-                racing=self.config.racing_portfolio,
             )
             return result_from_partition(
                 partition, f"portfolio:{method}", fitness=fitness,

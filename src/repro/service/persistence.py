@@ -18,13 +18,11 @@ merely plausible:
   immediately after ``open_session`` / ``update_session`` commit and
   before the slot accepts the session's next update — so a snapshot
   always captures a quiescent, committed epoch, never a mid-GA RNG
-  state.
-* **Periodic snapshots** (``ServiceConfig.snapshot_interval_s > 0``)
-  are an alternative cadence for write-heavy deployments: a timer
-  thread re-snapshots sessions whose epoch advanced, taking each
-  session's ``compute_lock`` *non-blocking* — a session mid-update is
-  simply skipped until the next tick, because a consistent snapshot can
-  only be taken between updates.
+  state.  A failed write is counted and leaves the previous snapshot
+  in place; the session's next commit writes it again.
+* **Handoff drains** (:meth:`SessionPersistence.snapshot_sessions`)
+  re-snapshot specific sessions before another shard adopts them,
+  waiting out each one's in-flight update.
 
 Files are written atomically (temp file + ``os.replace``), so a crash
 mid-write leaves the previous committed snapshot intact; a snapshot
@@ -61,7 +59,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..errors import ServiceError
 from ..incremental.partitioner import IncrementalGAPartitioner
@@ -173,30 +171,14 @@ class SnapshotStore:
 class SessionPersistence:
     """Snapshot pump for one service's :class:`SessionManager`."""
 
-    def __init__(
-        self,
-        store: SnapshotStore,
-        sessions: SessionManager,
-        interval_s: float = 0.0,
-    ) -> None:
+    def __init__(self, store: SnapshotStore, sessions: SessionManager) -> None:
         self.store = store
         self.sessions = sessions
-        self.interval_s = float(interval_s)
         self._lock = threading.Lock()
-        self._last_epoch: dict[str, int] = {}
         self.snapshots_written = 0
         self.write_failures = 0
         self.restored = 0
         self.restore_failures = 0
-        self._stop = threading.Event()
-        self._timer: Optional[threading.Thread] = None
-        if self.interval_s > 0:
-            self._timer = threading.Thread(
-                target=self._periodic_loop,
-                name="session-snapshots",
-                daemon=True,
-            )
-            self._timer.start()
 
     # ------------------------------------------------------------------
     def restore_all(self) -> int:
@@ -225,7 +207,6 @@ class SessionPersistence:
                 )
                 continue
             with self._lock:
-                self._last_epoch[session.id] = session.partitioner.epoch
                 self.restored += 1
             restored += 1
         if restored:
@@ -257,9 +238,8 @@ class SessionPersistence:
             # close/stats blocking the overlapped path exists to avoid
             with session.lock:
                 state = capture_session_state(session)
-                epoch = session.partitioner.epoch
             data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-            self._write(session.id, data, epoch)
+            self._write(session.id, data)
         # repro: allow[BROAD-EXCEPT] — commit never raises: the update already
         # committed in-memory, so failure degrades durability (write_failures),
         # never the answer (see docstring for the bit-identity argument)
@@ -287,8 +267,6 @@ class SessionPersistence:
     def forget(self, session_id: str) -> None:
         """Drop a closed session's snapshot."""
         self.store.delete(session_id)
-        with self._lock:
-            self._last_epoch.pop(session_id, None)
 
     def adopt_from(self, src_root, session_ids: Sequence[str]) -> list[str]:
         """Restore specific sessions from a *foreign* snapshot store
@@ -322,7 +300,6 @@ class SessionPersistence:
                 )
                 continue
             with self._lock:
-                self._last_epoch[session.id] = session.partitioner.epoch
                 self.restored += 1
             # durable on the new owner before the old owner forgets it:
             # a crash between handoff and first update must restore here
@@ -339,82 +316,19 @@ class SessionPersistence:
             )
         return adopted
 
-    def _write(self, session_id: str, data: bytes, epoch: int) -> None:
+    def _write(self, session_id: str, data: bytes) -> None:
         self.store.save(session_id, data)
         with self._lock:
-            self._last_epoch[session_id] = epoch
             self.snapshots_written += 1
-
-    # ------------------------------------------------------------------
-    def _periodic_loop(self) -> None:  # pragma: no cover - timing thread
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.snapshot_open_sessions()
-            # repro: allow[BROAD-EXCEPT] — a snapshot pass must never kill
-            # the periodic timer thread
-            except Exception:
-                pass
-
-    def snapshot_open_sessions(self) -> int:
-        """One periodic pass: snapshot every open session whose epoch
-        advanced since its last write.  Sessions mid-update (compute
-        lock held) are skipped — their commit will snapshot anyway, and
-        a mid-GA RNG state must never reach the store."""
-        written = 0
-        with self.sessions._lock:
-            open_sessions = list(self.sessions._sessions.values())
-        for session in open_sessions:
-            if not session.compute_lock.acquire(blocking=False):
-                continue
-            try:
-                with session.lock:
-                    epoch = session.partitioner.epoch
-                    with self._lock:
-                        if self._last_epoch.get(session.id) == epoch:
-                            continue
-                    state = capture_session_state(session)
-                try:
-                    data = pickle.dumps(
-                        state, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    self._write(session.id, data, epoch)
-                # repro: allow[BROAD-EXCEPT] — a per-session write failure
-                # degrades durability for that session only; counted, pass
-                # continues
-                except Exception as exc:
-                    with self._lock:
-                        self.write_failures += 1
-                    _LOG.warning(
-                        "snapshot write failed",
-                        extra={
-                            "event": "snapshot_write_failed",
-                            "session_id": session.id,
-                            "reason": str(exc),
-                        },
-                    )
-                    continue
-                # same close-race guard as commit(): a close that beat
-                # this write already deleted the file — never leave a
-                # stale snapshot that would resurrect a closed session
-                try:
-                    self.sessions.get(session.id)
-                except ServiceError:
-                    self.forget(session.id)
-                    continue
-                written += 1
-            finally:
-                session.compute_lock.release()
-        return written
 
     def snapshot_sessions(self, session_ids: Sequence[str]) -> int:
         """Drain-snapshot specific sessions for an ownership handoff.
 
-        Unlike :meth:`snapshot_open_sessions`, this *waits* for each
-        session's compute lock instead of skipping a busy session: the
-        sharded front calls it after it has stopped routing new updates
-        to the session, so the blocking acquire only drains the one
-        in-flight update — and the stored epoch is then guaranteed to be
-        the latest committed one, which the adopting shard resumes
+        This *waits* for each session's compute lock: the sharded front
+        calls it after it has stopped routing new updates to the
+        session, so the blocking acquire only drains the one in-flight
+        update — and the stored epoch is then guaranteed to be the
+        latest committed one, which the adopting shard resumes
         bit-identically."""
         written = 0
         for session_id in session_ids:
@@ -424,13 +338,12 @@ class SessionPersistence:
                 continue  # closed since the front planned the move
             with session.compute_lock:
                 with session.lock:
-                    epoch = session.partitioner.epoch
                     state = capture_session_state(session)
                 try:
                     data = pickle.dumps(
                         state, protocol=pickle.HIGHEST_PROTOCOL
                     )
-                    self._write(session_id, data, epoch)
+                    self._write(session_id, data)
                 # repro: allow[BROAD-EXCEPT] — a failed drain write leaves
                 # the on-commit snapshot in place; counted, handoff degrades
                 except Exception as exc:
@@ -447,11 +360,6 @@ class SessionPersistence:
                     continue
                 written += 1
         return written
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._timer is not None:
-            self._timer.join(timeout=5.0)
 
     def stats(self) -> dict:
         with self._lock:

@@ -14,38 +14,22 @@ Every method is scored by the *request's* fitness function (the same
 objective the GA optimizes), so "best" means best under the paper's
 cost model, not merely smallest edge cut.
 
-Two execution modes share one winner rule:
+Legs run one after another in a fixed order, with the budget checked
+between legs and between DKNUX generations.  The iterative baseline
+legs (KL, RSB) additionally check a deadline *inside* their own
+sweeps, so a binding budget cancels them mid-run instead of letting
+one monolithic leg overshoot the whole budget; a non-binding budget
+leaves their results bit-identical.
 
-* **serial** (default) — legs run one after another in fixed order,
-  with the budget checked between legs and between DKNUX generations.
-  The iterative baseline legs (KL, RSB) additionally check a deadline
-  *inside* their own sweeps, so a binding budget cancels them mid-run
-  instead of letting one monolithic leg overshoot the whole budget; a
-  non-binding budget leaves their results bit-identical.
-* **racing** (``racing=True``) — every leg runs concurrently on its
-  own thread (the numpy kernels release the GIL, so the legs genuinely
-  overlap); wall-clock drops from the *sum* of leg times toward the
-  *max*.  The GA leg additionally polls a best-so-far abort callback
-  (:meth:`repro.ga.engine.GAEngine.run`) and is cancelled as soon as
-  it can no longer beat the incumbent under the remaining budget: a
-  GA only improves by completing generations, so once it trails every
-  completed leg *and* the remaining budget is smaller than its own
-  measured per-generation cost, it cannot win and stops immediately
-  instead of burning the rest of the budget.
-
-The winner is picked by scanning the per-leg results in the fixed leg
-order (ties keep the earlier leg), never in completion order — so for
-a budget that does not bind, racing returns the *identical* winner and
-partition as the serial run of the same request (each leg's
-computation is seeded identically and runs to its own stopping rule).
-A binding budget is timing-dependent in both modes, exactly as before.
+The winner is the highest-fitness leg, ties keeping the earlier leg,
+so a budget that does not bind gives the same winner and partition on
+every run of the same request (each leg's computation is seeded and
+runs to its own stopping rule).  A binding budget is timing-dependent.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,14 +59,12 @@ def _run_budgeted_dknux(
     config: GAConfig,
     seed: int,
     remaining,
-    abort: Optional[Callable[[float], bool]] = None,
-) -> tuple[Partition, int, str]:
+) -> tuple[Partition, int]:
     """The full DKNUX engine run, clock-bounded via ``run(deadline=)``.
 
     Identical to :func:`repro.partition_graph` with the same config and
     seed (same engine, RNG stream, hill-climb modes, stopping rules) —
-    a binding budget only stops it between generations earlier, and the
-    racing portfolio's ``abort`` callback can cut a trailing leg."""
+    a binding budget only stops it between generations earlier."""
     from ..ga.dknux import DKNUX
     from ..ga.engine import GAEngine
 
@@ -92,8 +74,8 @@ def _run_budgeted_dknux(
     )
     budget = remaining()
     deadline = None if budget == float("inf") else time.perf_counter() + budget
-    result = engine.run(deadline=deadline, abort=abort)
-    return result.best, result.generations, result.stopped_by
+    result = engine.run(deadline=deadline)
+    return result.best, result.generations
 
 
 def _baseline_legs(
@@ -143,28 +125,6 @@ def _baseline_legs(
     return legs
 
 
-class _RaceState:
-    """Shared scoreboard of a racing portfolio.
-
-    ``incumbent`` is the best fitness among *completed* legs; the GA
-    leg's abort callback reads it (and its own per-generation cost
-    estimate) to decide whether it can still win.
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.incumbent = -np.inf
-
-    def offer(self, fitness: float) -> None:
-        with self.lock:
-            if fitness > self.incumbent:
-                self.incumbent = float(fitness)
-
-    def read(self) -> float:
-        with self.lock:
-            return self.incumbent
-
-
 def run_portfolio(
     graph: CSRGraph,
     n_parts: int,
@@ -172,20 +132,15 @@ def run_portfolio(
     seed: int = 0,
     time_budget: Optional[float] = None,
     ga: Optional[dict] = None,
-    racing: bool = False,
 ) -> tuple[Partition, str, float, list[dict]]:
-    """Race the portfolio; returns ``(best, method, fitness, table)``.
+    """Run the portfolio; returns ``(best, method, fitness, table)``.
 
     ``table`` has one row per leg in the fixed leg order — ``{method,
     cut_size, max_part_cut, fitness, seconds}`` for legs that ran,
     ``{method, skipped: reason}`` for legs the budget cut or that
     failed (a leg error never sinks the request; the race just moves
     on).  The winner is the highest-fitness leg, ties resolved by leg
-    order, which makes the reported winner identical between serial and
-    racing execution whenever the budget does not bind (see the module
-    docstring).  ``racing=True`` runs the legs concurrently and cancels
-    the GA leg once it can no longer beat the incumbent under the
-    remaining budget.
+    order (see the module docstring).
     """
     fitness = make_fitness(fitness_kind, graph, n_parts)
     t_start = time.perf_counter()
@@ -201,16 +156,10 @@ def run_portfolio(
         overrides.update(ga)
     config = GAConfig(**overrides)
 
-    if racing:
-        rows = _race_legs(
-            graph, n_parts, fitness_kind, fitness, config, seed,
-            baselines, remaining,
-        )
-    else:
-        rows = _serial_legs(
-            graph, n_parts, fitness_kind, fitness, config, seed,
-            baselines, remaining,
-        )
+    rows = _run_legs(
+        graph, n_parts, fitness_kind, fitness, config, seed,
+        baselines, remaining,
+    )
 
     table: list[dict] = []
     best: Optional[Partition] = None
@@ -232,11 +181,7 @@ def run_portfolio(
     return best, best_method, float(best_fitness), table
 
 
-# ----------------------------------------------------------------------
-# serial execution (the original fixed-order loop)
-# ----------------------------------------------------------------------
-
-def _serial_legs(
+def _run_legs(
     graph, n_parts, fitness_kind, fitness, config, seed, baselines, remaining
 ) -> list[tuple]:
     """``[(method, partition|None, fitness, table_row), ...]`` in leg
@@ -262,7 +207,7 @@ def _serial_legs(
     # answers with its best-so-far instead of overshooting the cap
     if remaining() > 0:
         t0 = time.perf_counter()
-        partition, generations, _ = _run_budgeted_dknux(
+        partition, generations = _run_budgeted_dknux(
             graph, n_parts, fitness_kind, config, seed, remaining
         )
         row = _leg_row("dknux", partition, fitness, time.perf_counter() - t0)
@@ -272,85 +217,6 @@ def _serial_legs(
         rows.append(("dknux", None, -np.inf,
                      {"method": "dknux", "skipped": "time budget exhausted"}))
     return rows
-
-
-# ----------------------------------------------------------------------
-# racing execution (one thread per leg, loser cancellation)
-# ----------------------------------------------------------------------
-
-def _race_legs(
-    graph, n_parts, fitness_kind, fitness, config, seed, baselines, remaining
-) -> list[tuple]:
-    """Run every leg concurrently; returns rows in the fixed leg order.
-
-    The pool is exactly as wide as the leg list, so no leg waits in a
-    queue and a non-binding budget gives every leg its full serial
-    computation (determinism of the winner follows from the fixed-order
-    scan in :func:`run_portfolio`).
-    """
-    race = _RaceState()
-
-    def run_baseline(method, leg):
-        if remaining() <= 0:
-            return (method, None, -np.inf,
-                    {"method": method, "skipped": "time budget exhausted"})
-        t0 = time.perf_counter()
-        try:
-            partition = leg()
-        except ReproError as exc:
-            return (method, None, -np.inf,
-                    {"method": method, "skipped": f"failed: {exc}"})
-        row = _leg_row(method, partition, fitness, time.perf_counter() - t0)
-        race.offer(row[2])
-        return row
-
-    def run_dknux():
-        if remaining() <= 0:
-            return ("dknux", None, -np.inf,
-                    {"method": "dknux", "skipped": "time budget exhausted"})
-        last_tick: Optional[float] = None
-        gen_cost = float("inf")  # fastest full generation observed
-
-        def abort(best_so_far: float) -> bool:
-            # A GA improves only by completing generations: once it
-            # trails every completed leg AND cannot fit even its
-            # *fastest* observed generation in the remaining budget, it
-            # cannot win.  The first callback fires after engine setup
-            # and the initial-population evaluation, so that interval
-            # is discarded (it is not a generation's cost), and the
-            # minimum — not the maximum — is kept so measurement noise
-            # can only delay cancellation, never cause a premature one.
-            nonlocal last_tick, gen_cost
-            now = time.perf_counter()
-            if last_tick is not None:
-                gen_cost = min(gen_cost, now - last_tick)
-            last_tick = now
-            left = remaining()
-            if left == float("inf"):
-                return False  # non-binding budget: never abort (determinism)
-            return (
-                gen_cost != float("inf")
-                and best_so_far <= race.read()
-                and left < gen_cost
-            )
-
-        t0 = time.perf_counter()
-        partition, generations, stopped_by = _run_budgeted_dknux(
-            graph, n_parts, fitness_kind, config, seed, remaining, abort=abort
-        )
-        row = _leg_row("dknux", partition, fitness, time.perf_counter() - t0)
-        row[3]["generations"] = generations
-        if stopped_by == "aborted":
-            row[3]["aborted"] = True  # cancelled: could no longer win
-        race.offer(row[2])
-        return row
-
-    with ThreadPoolExecutor(max_workers=len(baselines) + 1) as pool:
-        futures = [
-            pool.submit(run_baseline, method, leg) for method, leg in baselines
-        ]
-        futures.append(pool.submit(run_dknux))
-        return [f.result() for f in futures]
 
 
 def _leg_row(method: str, partition: Partition, fitness, seconds: float):

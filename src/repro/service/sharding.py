@@ -178,6 +178,7 @@ from ..obs.metrics import (
 from ..obs.trace import NULL_SPAN, Tracer
 from .cache import ResultCache, graph_digest, request_key
 from .config import ServiceConfig
+from .core import PartitionService, _endpoint
 from .models import (
     JobResult,
     PartitionRequest,
@@ -347,8 +348,6 @@ def _shard_main(sock, config: ServiceConfig) -> None:  # pragma: no cover
     front over its end of a socketpair.  (Covered by the
     subprocess-driving tests in ``tests/test_sharding.py``, which
     coverage cannot see.)"""
-    from .core import PartitionService
-
     service = PartitionService(config=config)
     try:
         _serve_shard(SocketTransport(sock), service)
@@ -380,8 +379,6 @@ class ShardServer:
         config: Optional[ServiceConfig] = None,
         **overrides,
     ) -> None:
-        from .core import PartitionService
-
         if config is None:
             config = ServiceConfig(**overrides)
         elif overrides:
@@ -761,7 +758,6 @@ class ShardedPartitionService:
         # it with every reachable shard's snapshot
         self.tracer = Tracer(
             enabled=config.trace_enabled,
-            ring_size=config.trace_ring,
             jsonl_path=config.trace_jsonl,
             sample_rate=config.trace_sample,
         )
@@ -1382,9 +1378,7 @@ class ShardedPartitionService:
         cached = self._answers.lookup(key, count_miss)
         if cached is None:
             return None
-        endpoint = (
-            "refine" if isinstance(request, RefineRequest) else "partition"
-        )
+        endpoint = _endpoint(request)
         cached.latency_s = time.perf_counter() - t0
         self.registry.inc("repro_requests_total", endpoint=endpoint)
         self.registry.observe(
@@ -1393,7 +1387,7 @@ class ShardedPartitionService:
         )
         self.tracer.emit(
             "front.submit", parent=trace, duration_s=cached.latency_s,
-            attrs={"endpoint": "partition", "shard": owner, "owner": owner,
+            attrs={"endpoint": endpoint, "shard": owner, "owner": owner,
                    "cache_hit": True},
         )
         return self._mark(cached, owner)
@@ -1412,7 +1406,8 @@ class ShardedPartitionService:
             return held
         span = self.tracer.start(
             "front.submit", parent=request.trace,
-            attrs={"endpoint": "partition", "shard": owner, "owner": owner},
+            attrs={"endpoint": _endpoint(request), "shard": owner,
+                   "owner": owner},
         )
         with span:
             seed_key = (
@@ -2010,10 +2005,11 @@ class ShardedPartitionService:
         return os.path.join(self._snapshot_base, f"shard-{index}")
 
     def _flush_members(self) -> None:
-        """Flush every live member's snapshots + result journal (the
-        ``prepare_handoff`` verb with no session list) so adopters and
-        warmers read complete state.  Best-effort: a dead member is
-        skipped — its on-commit snapshots still serve."""
+        """Flush every live member's result journal (the
+        ``prepare_handoff`` verb with no session list) so warmers read
+        complete state; each session that moves is drained on its own
+        (:meth:`_move_session`).  Best-effort: a dead member is
+        skipped."""
         for index in list(self.ring.members):
             try:
                 self._shard_handle(index, wait=False).call(

@@ -121,7 +121,7 @@ class TestKL:
 
     def test_deadline_nonbinding_bit_identical(self, mesh120):
         """A deadline that never binds changes nothing — same labels,
-        same RNG consumption (the racing portfolio's contract)."""
+        same RNG consumption (the portfolio's contract)."""
         import time
 
         plain = recursive_kl_partition(mesh120, 4, seed=0)

@@ -49,16 +49,19 @@ class TestParser:
 
     def test_removed_front_flag_rejected(self, capsys):
         """Removed ``serve`` flags (``--front`` with the thread front,
-        the process-lane flags with the process lane) error with the
-        flag's name instead of silently serving."""
-        for flag, value in (
+        the process-lane flags with the process lane, the racing
+        portfolio and the periodic snapshot pass) error with the flag's
+        name instead of silently serving."""
+        for argv in (
             ("--front", "thread"),
             ("--process-workers", "2"),
             ("--process-threshold", "0"),
+            ("--racing-portfolio",),
+            ("--snapshot-interval", "5"),
         ):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["serve", flag, value])
-            assert flag in capsys.readouterr().err
+                build_parser().parse_args(["serve", *argv])
+            assert argv[0] in capsys.readouterr().err
 
 
 class TestPartitionCommand:
@@ -125,6 +128,64 @@ class TestWorkloadsCommand:
         out = capsys.readouterr().out
         assert "78" in out
         assert "183+60" in out
+
+
+class TestServeCommand:
+    @pytest.fixture
+    def launched(self, monkeypatch):
+        """Record what ``serve`` would start instead of starting it."""
+        import repro.service
+        import repro.service.sharding
+
+        calls = []
+
+        class RecordingShardServer:
+            address = "127.0.0.1:0"
+
+            def __init__(self, **kwargs):
+                calls.append(("ShardServer", kwargs))
+
+            def serve_forever(self):
+                pass
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(
+            repro.service, "serve",
+            lambda **kwargs: calls.append(("serve", kwargs)),
+        )
+        monkeypatch.setattr(
+            repro.service.sharding, "ShardServer", RecordingShardServer
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "role", [[], ["--shard-listen", "127.0.0.1:0"]],
+        ids=["single-process", "shard-listen"],
+    )
+    def test_probe_interval_needs_a_sharded_front(
+        self, launched, capsys, role
+    ):
+        """Only a sharded front probes shards: a single process or a
+        shard worker refuses ``--probe-interval`` instead of serving
+        without probes."""
+        rc = main(["serve", *role, "--probe-interval", "1"])
+        assert launched == []
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--probe-interval" in err
+        assert "--shards" in err and "--attach-shard" in err
+
+    @pytest.mark.parametrize(
+        "front", [["--shards", "2"], ["--attach-shard", "127.0.0.1:1"]],
+        ids=["shards", "attach-shard"],
+    )
+    def test_probe_interval_reaches_a_sharded_front(self, launched, front):
+        assert main(["serve", *front, "--probe-interval", "1"]) == 0
+        ((what, kwargs),) = launched
+        assert what == "serve"
+        assert kwargs["probe_interval_s"] == 1.0
 
 
 class TestExperimentCommand:

@@ -41,6 +41,7 @@ from repro.service import (
     HTTPServiceClient,
     PartitionRequest,
     PartitionService,
+    RefineRequest,
     ShardServer,
     ShardedPartitionService,
     UpdateRequest,
@@ -338,7 +339,6 @@ class TestStructuredLogs:
         with caplog.at_level(logging.WARNING, logger="repro"):
             persistence = SessionPersistence(store, SessionManager())
             assert persistence.restore_all() == 0
-        persistence.close()
         assert persistence.restore_failures == 1
         (record,) = [
             r for r in caplog.records
@@ -583,6 +583,23 @@ class TestShardedTracing:
         assert result.cut_size >= 0
         root = self._assert_stitched(records)
         assert root["parent_id"] == CTX["span_id"]
+
+    def test_front_spans_a_refine_as_refine(self, graph):
+        """A refine's ``front.submit`` span names its endpoint like the
+        shard's ``service.submit`` span and ``repro_requests_total`` do,
+        on the miss and on the front hit that follows."""
+        assignment = np.arange(graph.n_nodes) % 4
+        request = RefineRequest(graph, 4, assignment, trace=CTX)
+        with ShardedPartitionService(n_shards=1, n_workers=1) as svc:
+            miss = svc.submit(request)
+            hit = svc.submit(request)
+            records = svc.tracer.records(CTX["trace_id"])
+        assert not miss.cache_hit and hit.cache_hit
+        fronts = [r for r in records if r["name"] == "front.submit"]
+        assert [r["attrs"].get("cache_hit") for r in fronts] == [False, True]
+        assert [r["attrs"]["endpoint"] for r in fronts] == ["refine"] * 2
+        (submit,) = [r for r in records if r["name"] == "service.submit"]
+        assert submit["attrs"]["endpoint"] == "refine"
 
     def test_socket_fleet_http_partition_yields_one_tree(self, graph):
         """The acceptance scenario: one /v1/partition against a 2-shard

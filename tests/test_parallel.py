@@ -28,8 +28,10 @@ class TestValidation:
         assert "2-point" in CROSSOVER_KINDS
 
     def test_bad_pool_mode(self, graph):
-        with pytest.raises(ConfigError):
-            ParallelDPGA(graph, "fitness1", 4, pool_mode="remote")
+        """The pool is chosen by width; the ``pool_mode`` override is
+        deleted and passing it fails loudly."""
+        with pytest.raises(TypeError, match="pool_mode"):
+            ParallelDPGA(graph, "fitness1", 4, pool_mode="shared")
 
 
 class TestRun:
@@ -79,10 +81,13 @@ class TestRun:
         rand = random_partition(graph, 2, seed=0)
         assert res.best_fitness > fit.evaluate(rand.assignment)
 
-    def test_shared_pool_matches_pinned(self, graph):
+    def test_shared_pool_matches_pinned(self, graph, monkeypatch):
         """The PR-4 fan-out satellite: one shared pool with explicit
         state shipping produces bit-identical search results to the
-        per-island pinned executors, for any worker count."""
+        per-island pinned executors, for any worker count.  Each path
+        is forced by moving the width cutoff."""
+        import repro.ga.parallel as parallel
+
         kwargs = dict(
             fitness_kind="fitness1",
             n_parts=4,
@@ -99,15 +104,11 @@ class TestRun:
             ),
             seed=11,
         )
-        pinned = ParallelDPGA(
-            graph, n_workers=2, pool_mode="pinned", **kwargs
-        ).run()
-        shared = ParallelDPGA(
-            graph, n_workers=2, pool_mode="shared", **kwargs
-        ).run()
-        shared3 = ParallelDPGA(
-            graph, n_workers=3, pool_mode="shared", **kwargs
-        ).run()
+        monkeypatch.setattr(parallel, "SHARED_POOL_CUTOFF", 64)
+        pinned = ParallelDPGA(graph, n_workers=2, **kwargs).run()
+        monkeypatch.setattr(parallel, "SHARED_POOL_CUTOFF", 0)
+        shared = ParallelDPGA(graph, n_workers=2, **kwargs).run()
+        shared3 = ParallelDPGA(graph, n_workers=3, **kwargs).run()
         assert np.array_equal(pinned.best.assignment, shared.best.assignment)
         assert pinned.best_fitness == shared.best_fitness
         # shared mode is itself n_workers-invariant
@@ -118,12 +119,43 @@ class TestRun:
             shared.history.as_arrays()["best_cut"],
         )
 
-    def test_auto_mode_picks_pinned_at_small_widths(self, graph):
-        from repro.ga.parallel import SHARED_POOL_CUTOFF
+    def test_auto_mode_picks_pinned_at_small_widths(self, graph, monkeypatch):
+        """``run()`` builds the pinned bank up to ``SHARED_POOL_CUTOFF``
+        worker slots and one shared pool beyond it."""
+        import repro.ga.parallel as parallel
 
-        assert SHARED_POOL_CUTOFF == 16  # the measured default
-        runner = ParallelDPGA(graph, "fitness1", 4, n_workers=2)
-        assert runner.pool_mode == "auto"
+        assert parallel.SHARED_POOL_CUTOFF == 16  # the measured default
+        built = []
+
+        class SpyBank(parallel.PinnedExecutors):
+            def __init__(self, n_slots, *args, **kwargs):
+                built.append(("bank", n_slots))
+                super().__init__(n_slots, *args, **kwargs)
+
+        class SpyPool(parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                built.append(("pool", max_workers))
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "PinnedExecutors", SpyBank)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+        runner = ParallelDPGA(
+            graph, "fitness1", 4,
+            ga_config=GAConfig(population_size=4, hill_climb="off"),
+            dpga_config=DPGAConfig(
+                total_population=8, n_islands=2,
+                migration_interval=1, max_generations=1,
+            ),
+            n_workers=2, seed=0,
+        )
+        monkeypatch.setattr(parallel, "SHARED_POOL_CUTOFF", 2)
+        runner.run()
+        # pinned: a bank of one single-process pool per slot
+        assert built == [("bank", 2), ("pool", 1), ("pool", 1)]
+        built.clear()
+        monkeypatch.setattr(parallel, "SHARED_POOL_CUTOFF", 1)
+        runner.run()
+        assert built == [("pool", 2)]  # shared: one pool of both slots
 
     def test_initial_population_respected(self, graph):
         from repro.baselines import rsb_partition

@@ -808,46 +808,6 @@ class TestPortfolio:
         # patience (3) binds long before 50 generations
         assert 0 < unbudgeted["generations"] < 50
 
-    def test_racing_matches_serial_winner(self, graph):
-        """With a non-binding budget, the racing portfolio returns the
-        identical winner, partition, and fitness as the serial one (the
-        acceptance contract for PR 4's racing mode)."""
-        from repro.service import run_portfolio
-
-        for budget in (None, 1e6):
-            serial = run_portfolio(
-                graph, 4, seed=0, time_budget=budget, ga=GA, racing=False
-            )
-            raced = run_portfolio(
-                graph, 4, seed=0, time_budget=budget, ga=GA, racing=True
-            )
-            assert raced[1] == serial[1]  # same winning method
-            assert np.array_equal(raced[0].assignment, serial[0].assignment)
-            assert raced[2] == serial[2]  # same fitness
-            # leg tables line up row-for-row in the fixed leg order
-            assert [r["method"] for r in raced[3]] == [
-                r["method"] for r in serial[3]
-            ]
-
-    def test_racing_service_answers_match_serial_service(self, graph):
-        req = dict(method="portfolio", seed=0, ga=GA)
-        with PartitionService(n_workers=1) as svc:
-            serial = svc.submit(PartitionRequest(graph, 4, **req))
-        with PartitionService(n_workers=1, racing_portfolio=True) as svc:
-            raced = svc.submit(PartitionRequest(graph, 4, **req))
-        assert raced.method == serial.method
-        assert np.array_equal(raced.assignment, serial.assignment)
-        assert raced.fitness == serial.fitness
-
-    def test_racing_with_binding_budget_still_answers(self, graph):
-        from repro.service import run_portfolio
-
-        best, method, fitness, table = run_portfolio(
-            graph, 4, seed=0, time_budget=1e-9, ga=GA, racing=True
-        )
-        assert best.assignment.shape == (graph.n_nodes,)
-        assert method  # some leg (or the fallback) won
-
     def test_binding_budget_cancels_iterative_legs_midrun(self, graph):
         """PR 5 satellite: a tight budget no longer lets the monolithic
         KL/RSB legs overshoot — their per-sweep deadline checks cut
@@ -858,7 +818,7 @@ class TestPortfolio:
 
         t0 = time.perf_counter()
         best, method, _, table = run_portfolio(
-            graph, 8, seed=0, time_budget=0.05, ga=GA, racing=False
+            graph, 8, seed=0, time_budget=0.05, ga=GA
         )
         elapsed = time.perf_counter() - t0
         assert best.assignment.shape == (graph.n_nodes,)
@@ -867,33 +827,19 @@ class TestPortfolio:
         assert elapsed < 5.0
         assert [row["method"] for row in table]  # the table still reports
 
-    def test_engine_abort_callback(self, graph):
-        """abort=True stops the run immediately with stopped_by="aborted";
-        an abort that never fires changes nothing."""
+    def test_removed_racing_and_abort_options_are_rejected(self, graph):
+        """The racing portfolio and the engine's abort hook are deleted:
+        passing either option fails loudly instead of being ignored."""
         from repro.ga import Fitness1, GAEngine, UniformCrossover
+        from repro.service import run_portfolio
 
-        fit = Fitness1(graph, 3)
-        cfg = GAConfig(population_size=10, max_generations=10)
-        seen = []
-
-        def never(best):
-            seen.append(best)
-            return False
-
-        aborted = GAEngine(
-            graph, fit, UniformCrossover(), config=cfg, seed=0
-        ).run(abort=lambda best: True)
-        assert aborted.stopped_by == "aborted"
-        assert aborted.generations == 0
-        free = GAEngine(
-            graph, fit, UniformCrossover(), config=cfg, seed=0
-        ).run(abort=never)
-        plain = GAEngine(
-            graph, fit, UniformCrossover(), config=cfg, seed=0
-        ).run()
-        assert len(seen) == 10  # called once per generation
-        assert free.best_fitness == plain.best_fitness
-        assert np.array_equal(free.best.assignment, plain.best.assignment)
+        with pytest.raises(TypeError, match="racing"):
+            run_portfolio(graph, 4, ga=GA, racing=True)
+        engine = GAEngine(
+            graph, Fitness1(graph, 3), UniformCrossover(), seed=0
+        )
+        with pytest.raises(TypeError, match="abort"):
+            engine.run(abort=lambda best: False)
 
     def test_tiny_budget_skips_expensive_legs(self, service, graph):
         result = service.submit(

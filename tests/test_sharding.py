@@ -582,8 +582,14 @@ class TestBinaryFrames:
             ("process_workers", 2),
             ("process_threshold", 0.0),
             ("overlap_updates", False),
+            ("racing_portfolio", True),
+            ("snapshot_interval_s", 1.0),
+            ("trace_ring", 64),
         ):
-            for build in (ServiceConfig, PartitionService, ShardServer):
+            for build in (
+                ServiceConfig, PartitionService, ShardServer,
+                ShardedPartitionService,
+            ):
                 with pytest.raises(TypeError, match=option):
                     build(**{option: value})
 
@@ -872,22 +878,61 @@ class TestFailover:
                 r = svc.submit(PartitionRequest(graph, 4, method="greedy"))
                 assert r.assignment.shape == (graph.n_nodes,)
 
-    def test_periodic_snapshot_pass_skips_busy_sessions(self, graph):
-        """A periodic pass only stores committed, quiescent state: a
-        session whose compute lock is held is skipped."""
+    def test_failed_snapshot_write_is_rewritten_by_next_commit(
+        self, graph, monkeypatch
+    ):
+        """A failed on-commit write degrades durability, never the
+        answer: the update still answers, the failure is counted, the
+        session's next commit stores its epoch, and a new service over
+        the same directory resumes the session bit-identically to an
+        uninterrupted run."""
         import tempfile
+
+        from repro.service.persistence import SnapshotStore, restore_session
+
+        updates = []
+        g = graph
+        for step in range(3):
+            g = insert_local_nodes(g, 5, seed=200 + step).graph
+            updates.append(g)
+        with PartitionService(n_workers=1) as ref_svc:
+            ref_open = ref_svc.open_session(graph, 4, seed=0, ga=GA)
+            ref = [
+                ref_svc.update_session(UpdateRequest(ref_open.session_id, u))
+                for u in updates
+            ]
+
+        save = SnapshotStore.save
+        failed = []
+
+        def save_failing_once(store, session_id, data):
+            if not failed:
+                failed.append(session_id)
+                raise OSError("No space left on device")
+            save(store, session_id, data)
 
         with tempfile.TemporaryDirectory() as tmp:
             with PartitionService(n_workers=1, snapshot_dir=tmp) as svc:
-                opened = svc.open_session(graph, 4, seed=0, ga=GA)
-                session = svc.sessions.get(opened.session_id)
-                # epoch unchanged since the on-commit write: nothing new
-                assert svc.persistence.snapshot_open_sessions() == 0
-                session.partitioner._epoch += 1  # simulate progress
-                with session.compute_lock:  # simulate a GA mid-flight
-                    assert svc.persistence.snapshot_open_sessions() == 0
-                assert svc.persistence.snapshot_open_sessions() == 1
-                session.partitioner._epoch -= 1
+                sid = svc.open_session(graph, 4, seed=0, ga=GA).session_id
+                persistence = svc.persistence
+                monkeypatch.setattr(SnapshotStore, "save", save_failing_once)
+                first = svc.update_session(UpdateRequest(sid, updates[0]))
+                assert failed == [sid]
+                assert np.array_equal(first.assignment, ref[0].assignment)
+                assert persistence.stats()["write_failures"] == 1
+                assert persistence.stats()["snapshots_written"] == 1
+                svc.update_session(UpdateRequest(sid, updates[1]))
+                assert persistence.stats()["snapshots_written"] == 2
+                stored = restore_session(persistence.store.load(sid))
+                assert stored.partitioner.epoch == (
+                    svc.sessions.get(sid).partitioner.epoch
+                )
+            with PartitionService(n_workers=1, snapshot_dir=tmp) as revived:
+                assert revived.sessions.stats()["restored"] == 1
+                got = revived.update_session(UpdateRequest(sid, updates[2]))
+            assert np.array_equal(got.assignment, ref[2].assignment)
+            assert got.cut_size == ref[2].cut_size
+            assert got.fitness == ref[2].fitness
 
 
 # ----------------------------------------------------------------------

@@ -144,8 +144,8 @@ class TestRSB:
         assert p.assignment.size == 0
 
     def test_deadline_nonbinding_bit_identical(self, mesh120):
-        """A deadline that never binds changes nothing (the racing
-        portfolio's contract for its iterative baseline legs)."""
+        """A deadline that never binds changes nothing (the portfolio's
+        contract for its iterative baseline legs)."""
         import time
 
         plain = rsb_partition(mesh120, 4)
